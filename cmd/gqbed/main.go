@@ -6,7 +6,7 @@
 //
 //	gqbed -graph kg.tsv [-addr :8080] [-max-concurrent 8] [-cache-entries 1024]
 //	      [-build-shards 0] [-snapshot kg.snap] [-snapshot-write] [-snapshot-mmap]
-//	      [-search-workers 1] [-trace] [-slow-query-ms 0]
+//	      [-trace] [-slow-query-ms 0]
 //
 // The complete flag reference and the /statz field glossary live in
 // docs/OPERATIONS.md.
@@ -40,9 +40,6 @@
 // The daemon sheds load with 429 once all workers are busy, answers repeated
 // queries from an LRU result cache, coalesces concurrent identical queries
 // into one engine search, and cancels any query that exceeds its deadline.
-// With -search-workers N each admitted search additionally fans its lattice
-// exploration across N concurrent evaluators (identical answers, lower
-// per-query latency; peak join memory scales with it).
 // SIGINT/SIGTERM drain in-flight requests before exit.
 //
 // Observability: -slow-query-ms N logs a structured record (with the full
@@ -84,7 +81,6 @@ func main() {
 		cacheMinLat   = flag.Duration("cache-min-latency", time.Millisecond, "cache admission floor: don't cache results whose search was faster than this (negative caches everything)")
 		batchItems    = flag.Int("max-batch-items", 64, "max queries per /v1/query:batch request")
 		batchConc     = flag.Int("batch-concurrency", 4, "max engine searches one batch runs at once (capped at -max-concurrent)")
-		searchWorkers = flag.Int("search-workers", 1, "concurrent lattice-node evaluators per search (1 = sequential, negative = GOMAXPROCS); answers are identical at any setting, but peak join memory scales with -max-concurrent × this")
 		pprofAddr     = flag.String("pprof-addr", "", "optional address (e.g. 127.0.0.1:6060) serving net/http/pprof on a separate listener; empty disables")
 		trace         = flag.Bool("trace", false, "trace every query (span tree + node evaluations) and log each at debug level; answers are unchanged")
 		slowQueryMS   = flag.Int("slow-query-ms", 0, "log a structured slow-query record (full span breakdown) for requests slower than this many milliseconds; 0 disables")
@@ -166,7 +162,6 @@ func main() {
 		CacheMinLatency:     *cacheMinLat,
 		MaxBatchItems:       *batchItems,
 		MaxBatchConcurrency: *batchConc,
-		SearchWorkers:       *searchWorkers,
 		Trace:               *trace,
 		SlowQuery:           time.Duration(*slowQueryMS) * time.Millisecond,
 		Logger:              logger,

@@ -314,7 +314,7 @@ type explainDoc struct {
 		DurationUS *int64  `json:"duration_us"`
 	} `json:"trace"`
 	Serving *struct {
-		Workers *int `json:"workers"`
+		TimeoutMS *float64 `json:"timeout_ms"`
 	} `json:"serving"`
 	// Truncated marks a response whose node_evals/trace were cut at the
 	// server's size caps; absent means false.
@@ -350,8 +350,8 @@ func lintExplain(data []byte) []string {
 	if doc.Trace == nil || doc.Trace.Name == nil {
 		miss("trace.name")
 	}
-	if doc.Serving == nil || doc.Serving.Workers == nil {
-		miss("serving.workers")
+	if doc.Serving == nil || doc.Serving.TimeoutMS == nil {
+		miss("serving.timeout_ms")
 	}
 	if len(findings) > 0 {
 		return findings

@@ -108,7 +108,7 @@ const goodExplain = `{
   "node_evals": [{"edges": [0, 1], "rows": 3, "eval_us": 10},
                  {"edges": [0], "rows": 1, "eval_us": 4}],
   "trace": {"name": "query", "duration_us": 1200, "children": []},
-  "serving": {"queue_wait_ms": 0.01, "workers": 1, "timeout_ms": 10000}
+  "serving": {"queue_wait_ms": 0.01, "timeout_ms": 10000}
 }`
 
 const faultExposition = `# TYPE gqbe_faults_injected_total counter

@@ -70,7 +70,7 @@ func TestStatsStoppedReason(t *testing.T) {
 		t.Fatalf("Query: %v", err)
 	}
 	switch res.Stats.Stopped {
-	case "topk-proven", "frontier-exhausted", "max-evaluations":
+	case "topk-proven", "frontier-exhausted", "row-budget", "max-evaluations":
 	default:
 		t.Errorf("Stopped = %q, want a known stop reason", res.Stats.Stopped)
 	}
@@ -84,5 +84,15 @@ func TestStatsStoppedReason(t *testing.T) {
 	}
 	if capped.Stats.Terminated {
 		t.Error("capped query reported Terminated (top-k proof) — it stopped on the safety valve")
+	}
+
+	// A row budget that skips query graphs which could hold better answers
+	// must not be reported as a complete search.
+	budgeted, err := e.Query([]string{"Jerry Yang", "Yahoo!"}, &Options{K: 1, MaxRows: 8})
+	if err != nil {
+		t.Fatalf("budgeted Query: %v", err)
+	}
+	if budgeted.Stats.Stopped != "row-budget" {
+		t.Errorf("budgeted Stopped = %q, want row-budget", budgeted.Stats.Stopped)
 	}
 }

@@ -12,9 +12,6 @@
 //	eng, _ := gqbe.LoadFileSharded("kg.tsv", 0) // build across all cores
 //	_ = eng.WriteSnapshotFile("kg.snap")        // …then restart via
 //	eng, _ = gqbe.LoadSnapshotFile("kg.snap")   // no parse, no indexing
-//
-// and see gqbe.Options.Parallelism for fanning a single query's lattice
-// search across cores (identical answers, lower latency).
 package main
 
 import (

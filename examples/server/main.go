@@ -44,9 +44,7 @@
 //	    -build-shards 0 -snapshot /tmp/freebase.snap -snapshot-write
 //
 // On restart the existing snapshot wins over -graph (a corrupt one falls
-// back to rebuilding). Add -search-workers N to fan each lattice search
-// across N evaluators — answers are bit-identical at any setting. The full
-// flag reference is docs/OPERATIONS.md.
+// back to rebuilding). The full flag reference is docs/OPERATIONS.md.
 package main
 
 import (

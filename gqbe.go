@@ -59,18 +59,13 @@ type Options struct {
 	Depth int
 	// MQGSize is the maximal-query-graph edge budget r (default 15).
 	MQGSize int
-	// MaxRows bounds the intermediate join size per query graph; queries
-	// exceeding it fail rather than exhaust memory (default 5M rows).
+	// MaxRows bounds the intermediate join size per query graph; query
+	// graphs exceeding it are skipped rather than exhaust memory, and
+	// Stats.Stopped says "row-budget" when a skip could have changed the
+	// answers (default 5M rows).
 	MaxRows int
 	// MaxEvaluations caps evaluated lattice nodes (default unlimited).
 	MaxEvaluations int
-	// Parallelism is the number of concurrent evaluators the lattice search
-	// fans out to (default 1 = the sequential search; negative selects
-	// GOMAXPROCS). The ranked answers and every reported statistic are
-	// bit-identical at any setting — this is purely a latency knob — but
-	// peak join memory scales with it: each worker materializes up to
-	// MaxRows rows at once.
-	Parallelism int
 	// Tracer, when non-nil, records the query's per-stage span tree and the
 	// search's per-node evaluation table (see NewTracer), and populates
 	// Result.MQG. Tracing never changes answers or Stats, and it is
@@ -92,7 +87,6 @@ func (o *Options) Normalized() Options {
 		MQGSize:        c.MQGSize,
 		MaxRows:        c.MaxRows,
 		MaxEvaluations: c.MaxEvaluations,
-		Parallelism:    c.Parallelism,
 	}
 }
 
@@ -107,7 +101,6 @@ func (o *Options) toCore() core.Options {
 		MQGSize:        o.MQGSize,
 		MaxRows:        o.MaxRows,
 		MaxEvaluations: o.MaxEvaluations,
-		Parallelism:    o.Parallelism,
 		Tracer:         o.Tracer,
 	}
 }
@@ -155,9 +148,11 @@ type Stats struct {
 	FrontierRecomputes int
 	// Stopped says why the lattice search returned: "topk-proven" (the
 	// top-k answers were provably final), "frontier-exhausted" (the whole
-	// reachable lattice was explored), "max-evaluations" (the
-	// MaxEvaluations safety valve fired), or — for interrupted queries that
-	// still produced a partial result — "deadline" or "canceled".
+	// reachable lattice was explored), "row-budget" (a query graph skipped
+	// for exceeding MaxRows could hold better answers than those returned),
+	// "max-evaluations" (the MaxEvaluations safety valve fired), or — for
+	// interrupted queries that still produced a partial result — "deadline"
+	// or "canceled".
 	Stopped string
 	// Terminated reports whether the top-k proof stopped the search early.
 	Terminated bool
@@ -510,8 +505,7 @@ func (e *Engine) wrap(res *core.Result, withMQG bool) *Result {
 // index — partitions every result list, and merging the per-shard lists
 // under (Score desc, Key asc) reproduces the unsharded ranking bit for bit.
 // count <= 1 returns an unsharded copy; an index outside [0, count) errors.
-// Shard identity is a deployment property like Options.Parallelism, never a
-// per-query knob.
+// Shard identity is a deployment property, never a per-query knob.
 func (e *Engine) WithShard(index, count int) (*Engine, error) {
 	eng, err := e.eng.WithShard(index, count)
 	if err != nil {

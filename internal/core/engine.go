@@ -39,11 +39,6 @@ type Options struct {
 	MaxRows int
 	// MaxEvaluations caps evaluated lattice nodes (0 = unlimited).
 	MaxEvaluations int
-	// Parallelism is the number of concurrent lattice-node evaluators the
-	// search fans out to (0/1 sequential, negative GOMAXPROCS). Results are
-	// bit-identical at any setting; peak join memory scales with it. See
-	// topk.Options.Parallelism.
-	Parallelism int
 	// Tracer, when non-nil, records per-stage spans (discovery,
 	// neighborhood, MQG discovery/merge, lattice build, search) and the
 	// per-pop node-evaluation table into the query's trace. Purely
@@ -70,11 +65,10 @@ func (o *Options) fill() {
 // describe the same query plan, which is what result-cache keys need.
 func (o Options) Normalize() Options {
 	o.fill()
-	t := topk.Options{K: o.K, KPrime: o.KPrime, MaxRows: o.MaxRows, MaxEvaluations: o.MaxEvaluations, Parallelism: o.Parallelism}
+	t := topk.Options{K: o.K, KPrime: o.KPrime, MaxRows: o.MaxRows, MaxEvaluations: o.MaxEvaluations}
 	t.Fill()
 	o.KPrime = t.KPrime
 	o.MaxRows = t.MaxRows
-	o.Parallelism = t.Parallelism
 	o.Tracer = nil // observational only; never part of the plan identity
 	return o
 }
@@ -154,10 +148,10 @@ type Engine struct {
 	// shardIndex/shardCount give the engine a fleet shard identity (see
 	// topk.Options.ShardIndex): searches run the identical full trajectory
 	// and keep only the answers this shard owns. Zero shardCount (or 1)
-	// means unsharded. Like SearchWorkers this is a per-process deployment
-	// property, set once at startup via WithShard, never per query — which
-	// is why it may live on the engine rather than in Options and why it is
-	// excluded from result-cache keys.
+	// means unsharded. This is a per-process deployment property, set once
+	// at startup via WithShard, never per query — which is why it may live
+	// on the engine rather than in Options and why it is excluded from
+	// result-cache keys.
 	shardIndex int
 	shardCount int
 }
@@ -372,7 +366,6 @@ func (e *Engine) searchMQG(ctx context.Context, m *mqg.MQG, exclude [][]graph.No
 		KPrime:         opts.KPrime,
 		MaxRows:        opts.MaxRows,
 		MaxEvaluations: opts.MaxEvaluations,
-		Parallelism:    opts.Parallelism,
 		Tracer:         tr,
 		ShardIndex:     e.shardIndex,
 		ShardCount:     e.shardCount,

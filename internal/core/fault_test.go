@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"gqbe/internal/fault"
 	"gqbe/internal/graph"
 	"gqbe/internal/kgsynth"
 	"gqbe/internal/snapio"
-	"gqbe/internal/topk"
 )
 
 // armFault enables cfg for the duration of the test. Fault state is global
@@ -106,35 +106,6 @@ func faultQueryFixture(t *testing.T) (*Engine, [][]graph.NodeID) {
 	return eng, [][]graph.NodeID{tuple}
 }
 
-// discoveryProbes returns an After offset for fault.StorageTablePanic that
-// skips the query's discovery-phase storage probes, so the fire lands in the
-// evaluation phase (where probes run on parallel search workers). It arms the
-// point with a never-firing rule (After beyond any real hit count), replays
-// just the discovery stage of the identical query, and reads the probe count
-// from the hit counter. The caller tolerates (skips on) the fire still
-// landing on the caller goroutine — e.g. in join-plan construction.
-func discoveryProbes(t *testing.T, eng *Engine, tuples [][]graph.NodeID) uint64 {
-	t.Helper()
-	fault.Enable(fault.Config{fault.StorageTablePanic: {Every: 1, After: 1 << 60}})
-	opts := Options{K: 5, Parallelism: 4}
-	opts.fill()
-	if _, err := eng.DiscoverMQGCtx(context.Background(), tuples[0], opts); err != nil {
-		fault.Disable()
-		t.Fatalf("counting discovery run failed: %v", err)
-	}
-	var hits uint64
-	for _, st := range fault.Stats() {
-		if st.Name == fault.StorageTablePanic.Name() {
-			hits = st.Hits
-		}
-	}
-	fault.Disable()
-	if hits == 0 {
-		t.Fatal("counting run recorded no storage probes during discovery")
-	}
-	return hits
-}
-
 // TestFaultExecEvalErr: an injected evaluation error aborts the query with a
 // wrapped ErrInjected — an engine error, not a panic, not a partial answer
 // passed off as complete.
@@ -147,75 +118,44 @@ func TestFaultExecEvalErr(t *testing.T) {
 	}
 }
 
-// TestFaultExecEvalPanicWorkerIsolated: with Parallelism > 1 every
-// lattice-node evaluation runs on a worker goroutine, so an injected panic
-// there would kill the process if workers did not recover. The search must
-// instead surface a *topk.PanicError carrying the worker's stack.
-func TestFaultExecEvalPanicWorkerIsolated(t *testing.T) {
+// queryPanic runs one query and returns the value it panicked with, nil if
+// it returned normally.
+func queryPanic(eng *Engine, tuples [][]graph.NodeID) (p any) {
+	defer func() { p = recover() }()
+	_, _ = eng.QueryMultiCtx(context.Background(), tuples, Options{K: 5}) // a normal return fails the caller's check
+	return nil
+}
+
+// checkPanicPropagates pins the engine's panic contract for one injected
+// fault point: the search runs on the caller's goroutine, so a panic there
+// propagates out of QueryMultiCtx (the serving layer recovers it into a
+// 500), and it leaves nothing behind — the same query on the same engine
+// then returns the answers it returned before the fault.
+func checkPanicPropagates(t *testing.T, point fault.Point) {
+	t.Helper()
 	eng, tuples := faultQueryFixture(t)
-	armFault(t, fault.Config{fault.ExecEvalPanic: {Every: 1, Limit: 1}})
-	res, err := eng.QueryMultiCtx(context.Background(), tuples, Options{K: 5, Parallelism: 4})
-	if res != nil || err == nil {
-		t.Fatalf("QueryMultiCtx = (%v, %v), want worker panic error", res, err)
+	want, err := eng.QueryMultiCtx(context.Background(), tuples, Options{K: 5})
+	if err != nil || len(want.Answers) == 0 {
+		t.Fatalf("baseline query: (%v, %v)", want, err)
 	}
-	var pe *topk.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error %v (%T) is not a *topk.PanicError", err, err)
+	armFault(t, fault.Config{point: {Every: 1, Limit: 1}})
+	if p := queryPanic(eng, tuples); p == nil {
+		t.Fatalf("%s: query returned normally, want the injected panic", point.Name())
 	}
-	if len(pe.Stack) == 0 {
-		t.Error("PanicError carries no worker stack")
-	}
-	// The fault is limit=1 and has fired: the engine must be fully healthy
-	// again — the same query on the same engine now succeeds.
-	res, err = eng.QueryMultiCtx(context.Background(), tuples, Options{K: 5, Parallelism: 4})
-	if err != nil || res == nil || len(res.Answers) == 0 {
-		t.Fatalf("engine did not recover after fault exhausted: (%v, %v)", res, err)
+	got, err := eng.QueryMultiCtx(context.Background(), tuples, Options{K: 5})
+	if err != nil || got == nil || !reflect.DeepEqual(got.Answers, want.Answers) {
+		t.Fatalf("engine did not recover after fault exhausted: (%v, %v)", got, err)
 	}
 }
 
+// TestFaultExecEvalPanicPropagates: an injected evaluation panic.
+func TestFaultExecEvalPanicPropagates(t *testing.T) {
+	checkPanicPropagates(t, fault.ExecEvalPanic)
+}
+
 // TestFaultStorageTablePanicRecovered: the storage probe layer's only fault
-// shape is a panic; with parallel workers it must be isolated exactly like
-// an evaluation panic.
+// shape is a panic; the engine recovers from it like from an evaluation
+// panic.
 func TestFaultStorageTablePanicRecovered(t *testing.T) {
-	eng, tuples := faultQueryFixture(t)
-	// Let MQG discovery (which also probes tables on the caller goroutine)
-	// finish before arming the panic for the search phase: a generous After
-	// skips the discovery-phase probes.
-	res, err := eng.QueryMultiCtx(context.Background(), tuples, Options{K: 5, Parallelism: 4})
-	if err != nil {
-		t.Fatalf("baseline query: %v", err)
-	}
-	if len(res.Answers) == 0 {
-		t.Fatal("baseline query returned no answers")
-	}
-	armFault(t, fault.Config{fault.StorageTablePanic: {Every: 1, Limit: 1, After: discoveryProbes(t, eng, tuples)}})
-	callerPanic := false
-	res2, err := func() (r *Result, e error) {
-		// A probe on the caller goroutine (join-plan construction, scoring)
-		// panics through QueryMultiCtx itself: at this layer that is the
-		// documented behavior — the serving layer isolates it — so the test
-		// recovers and skips rather than crashing the suite.
-		defer func() {
-			if v := recover(); v != nil {
-				callerPanic = true
-			}
-		}()
-		return eng.QueryMultiCtx(context.Background(), tuples, Options{K: 5, Parallelism: 4})
-	}()
-	if callerPanic {
-		t.Skip("storage fault consumed on the caller goroutine; isolation for that topology is exercised at the serving layer")
-	}
-	var pe *topk.PanicError
-	if err == nil {
-		// The fault's single fire was spent on a speculative evaluation the
-		// coordinator discarded: the search legitimately succeeds, but only a
-		// fully correct result is acceptable.
-		if res2 == nil || len(res2.Answers) != len(res.Answers) {
-			t.Fatalf("fault run returned different answers without an error")
-		}
-		t.Skip("storage fault consumed by a discarded speculative evaluation")
-	}
-	if !errors.As(err, &pe) {
-		t.Fatalf("error %v (%T) is not a *topk.PanicError", err, err)
-	}
+	checkPanicPropagates(t, fault.StorageTablePanic)
 }

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"gqbe/internal/fault"
 	"gqbe/internal/graph"
@@ -73,26 +72,9 @@ func (r *Rows) Len() int {
 // Row returns row i as a zero-copy view into the arena.
 func (r *Rows) Row(i int) Row { return Row(r.data[i*r.stride : (i+1)*r.stride]) }
 
-// memo is the evaluation state an evaluator shares with its forks: the
-// memoized per-node answer sets and the evaluation counter. Row sets are
-// immutable once installed, so the mutex guards only the map and counter —
-// the joins themselves run outside it.
-type memo struct {
-	mu        sync.Mutex
-	results   map[lattice.EdgeSet]*Rows
-	evaluated int
-	// Join-strategy traffic, for trace attrs: memo hits, one-edge
-	// incremental joins, and from-scratch evaluations. Mutated only under
-	// mu on paths that already hold it, so recording is free.
-	memoHits    int
-	incremental int
-	scratch     int
-}
-
-// Evaluator evaluates lattice nodes over one store, memoizing results. A
-// single Evaluator is single-query state and not safe for concurrent use,
-// but Fork derives sibling evaluators that share the memo and may run
-// Evaluate concurrently with each other and with the parent.
+// Evaluator evaluates lattice nodes over one store, memoizing results. It is
+// one query's state, owned by the goroutine running that query's search:
+// not safe for concurrent use. Concurrent queries each build their own.
 type Evaluator struct {
 	store   *storage.Store
 	lat     *lattice.Lattice
@@ -108,13 +90,17 @@ type Evaluator struct {
 
 	unboundRow []graph.NodeID // stride Unbound values, the scanEdge template
 
-	// memo is shared across Fork; everything above it is immutable after
-	// New, and everything below is per-evaluator.
-	memo *memo
+	// memo holds each evaluated lattice node's answers (§V-A's computation
+	// sharing: a parent extends a memoized child by one edge).
+	memo      map[lattice.EdgeSet]*Rows
+	evaluated int
+	// Join-strategy traffic, for trace attrs: memo hits, one-edge
+	// incremental joins, and from-scratch evaluations.
+	memoHits    int
+	incremental int
+	scratch     int
 	// free holds arenas recycled by Release and by superseded scratch
-	// intermediates, reused by later evaluations. Deliberately per-evaluator
-	// (not on the shared memo): forked workers recycle and reuse arenas
-	// without contending on a lock in the join hot path.
+	// intermediates, reused by later evaluations.
 	free [][]graph.NodeID
 }
 
@@ -143,7 +129,7 @@ func New(s *storage.Store, l *lattice.Lattice, opts ...Option) *Evaluator {
 		lat:     l,
 		maxRows: DefaultMaxRows,
 		slotOf:  make(map[graph.NodeID]int),
-		memo:    &memo{results: make(map[lattice.EdgeSet]*Rows)},
+		memo:    make(map[lattice.EdgeSet]*Rows),
 	}
 	slot := func(v graph.NodeID) int {
 		if i, ok := ev.slotOf[v]; ok {
@@ -218,57 +204,28 @@ func (ev *Evaluator) ctxErr() error {
 	return ev.ctx.Err()
 }
 
-// Fork returns an evaluator sharing ev's query plan and memoized results but
-// owning its own arena pool and running under ctx (nil keeps the parent's).
-// Forked siblings may call Evaluate concurrently: the memo is mutex-guarded,
-// installed row sets are immutable, and when two forks race to evaluate one
-// node the first install wins and the loser's arena is recycled locally.
-// Release must not run concurrently with any fork's Evaluate.
-func (ev *Evaluator) Fork(ctx context.Context) *Evaluator {
-	f := *ev     // shares the plan slices (immutable after New) and the memo
-	f.free = nil // arenas are per-evaluator
-	if ctx != nil {
-		f.ctx = ctx
-	}
-	return &f
-}
-
 // Evaluated returns the number of lattice-node evaluations this evaluator
-// (and its forks) ran — Fig. 15's metric for a sequential search. Under
-// concurrent forks it includes speculative and duplicate evaluations;
-// callers wanting the sequential-equivalent count must track consumption
-// themselves (internal/topk does).
-func (ev *Evaluator) Evaluated() int {
-	ev.memo.mu.Lock()
-	defer ev.memo.mu.Unlock()
-	return ev.memo.evaluated
-}
+// ran, memo hits excluded — Fig. 15's metric.
+func (ev *Evaluator) Evaluated() int { return ev.evaluated }
 
-// Counters reports the memo traffic across this evaluator and its forks:
-// total evaluations, memo hits, one-edge incremental joins, and from-scratch
-// evaluations. The trace layer attaches these to the search span.
+// Counters reports the evaluator's memo traffic: total evaluations, memo
+// hits, one-edge incremental joins, and from-scratch evaluations. The trace
+// layer attaches these to the search span.
 func (ev *Evaluator) Counters() (evaluated, memoHits, incremental, scratch int) {
-	ev.memo.mu.Lock()
-	defer ev.memo.mu.Unlock()
-	return ev.memo.evaluated, ev.memo.memoHits, ev.memo.incremental, ev.memo.scratch
+	return ev.evaluated, ev.memoHits, ev.incremental, ev.scratch
 }
 
 // Rows returns the materialized answers of q, if it has been evaluated.
 func (ev *Evaluator) Rows(q lattice.EdgeSet) (*Rows, bool) {
-	ev.memo.mu.Lock()
-	defer ev.memo.mu.Unlock()
-	rows, ok := ev.memo.results[q]
+	rows, ok := ev.memo[q]
 	return rows, ok
 }
 
 // Release drops the materialized answers of q, recycling their arena for
 // later evaluations. Rows previously returned for q become invalid.
 func (ev *Evaluator) Release(q lattice.EdgeSet) {
-	ev.memo.mu.Lock()
-	rows, ok := ev.memo.results[q]
-	delete(ev.memo.results, q)
-	ev.memo.mu.Unlock()
-	if ok {
+	if rows, ok := ev.memo[q]; ok {
+		delete(ev.memo, q)
 		ev.recycle(rows)
 	}
 }
@@ -302,80 +259,51 @@ func (ev *Evaluator) recycle(rows *Rows) {
 // memoizing it if needed. If some already-evaluated child Q' = q − e exists,
 // only the one extra edge is joined against Q”s materialized rows;
 // otherwise q is evaluated from scratch in a selectivity-greedy join order.
-//
-// The answer set (and whether the row budget trips) is a function of q
-// alone: extending any child appends exactly q's answer rows, and scratch
-// evaluation never reads the memo — so concurrent forks racing through here
-// in any interleaving produce the same rows for q, differing at most in row
-// order. The parallel search in internal/topk depends on this.
+// Either way the answer set (and whether the row budget trips) is a function
+// of q alone; only the row order can differ.
 //
 //gqbe:hotpath
 func (ev *Evaluator) Evaluate(q lattice.EdgeSet) (*Rows, error) {
 	if q == 0 {
 		return nil, errors.New("exec: empty query graph")
 	}
-	// Injection points sit before the memo lock so an injected panic can
-	// never strand the mutex; when disarmed each is a nil-check.
+	// Injection points; when disarmed each is a nil-check.
 	if err := fault.Check(fault.ExecEvalErr); err != nil {
 		return nil, err
 	}
 	fault.PanicIf(fault.ExecEvalPanic)
-	// One lock hold for the memo hit, the child probe, and the counter;
-	// the join below runs outside it, reading only immutable child rows.
-	childEdge := -1
-	var childRows *Rows
-	ev.memo.mu.Lock()
-	if rows, ok := ev.memo.results[q]; ok {
-		ev.memo.memoHits++
-		ev.memo.mu.Unlock()
+	if rows, ok := ev.memo[q]; ok {
+		ev.memoHits++
 		return rows, nil
 	}
 	if err := ev.ctxErr(); err != nil {
-		ev.memo.mu.Unlock()
 		return nil, err
 	}
-	ev.memo.evaluated++
+	ev.evaluated++
 	// Prefer extending a materialized child by one edge (shared computation).
+	childEdge := -1
+	var childRows *Rows
 	for r := uint64(q); r != 0; r &= r - 1 {
 		i := bits.TrailingZeros64(r)
-		if rows, ok := ev.memo.results[q&^lattice.Bit(i)]; ok {
+		if rows, ok := ev.memo[q&^lattice.Bit(i)]; ok {
 			childEdge, childRows = i, rows
 			break
 		}
 	}
-	if childEdge >= 0 {
-		ev.memo.incremental++
-	} else {
-		ev.memo.scratch++
-	}
-	ev.memo.mu.Unlock()
-
 	var rows *Rows
 	var err error
 	if childEdge >= 0 {
+		ev.incremental++
 		rows, err = ev.joinEdge(childRows, childEdge)
 	} else {
+		ev.scratch++
 		rows, err = ev.evaluateScratch(q)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return ev.install(q, rows), nil
-}
-
-// install publishes rows as q's memoized answers. If a racing fork installed
-// q first, the existing rows win — callers elsewhere may already hold them —
-// and the duplicate's arena is recycled locally.
-func (ev *Evaluator) install(q lattice.EdgeSet, rows *Rows) *Rows {
-	ev.memo.mu.Lock()
-	if exist, ok := ev.memo.results[q]; ok {
-		ev.memo.mu.Unlock()
-		ev.recycle(rows)
-		return exist
-	}
-	ev.memo.results[q] = rows
-	ev.memo.mu.Unlock()
-	return rows
+	ev.memo[q] = rows
+	return rows, nil
 }
 
 // evaluateScratch evaluates q with no materialized child: edges are joined

@@ -64,9 +64,9 @@ const (
 	// ExecEvalErr fails a lattice-node evaluation with ErrInjected (an
 	// engine error, classified like a row-budget blow-up).
 	ExecEvalErr
-	// ExecEvalPanic panics inside a lattice-node evaluation — on the
-	// coordinator or on a parallel search worker, whichever evaluates the
-	// node — exercising panic isolation on both goroutine topologies.
+	// ExecEvalPanic panics inside a lattice-node evaluation, on the
+	// goroutine running the query, exercising the serving layer's panic
+	// isolation.
 	ExecEvalPanic
 	// AdmissionFull makes the server's admission gate report saturation
 	// immediately, as if every worker slot stayed busy for the full wait.

@@ -1,7 +1,7 @@
 // Package lint is the repo-invariant analyzer suite behind cmd/gqbelint.
 //
-// The engine's headline guarantees — bit-identical top-k answers at any
-// worker count, an allocation-free flattened hot path, and end-to-end
+// The engine's headline guarantees — bit-identical top-k answers on every
+// run, an allocation-free flattened hot path, and end-to-end
 // context cancellation — are behavioral invariants that ordinary tests can
 // only sample. This package turns them into machine-checked source rules
 // using nothing but the standard library's go/parser, go/ast, and go/types:

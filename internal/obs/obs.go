@@ -15,9 +15,7 @@
 //
 // Concurrency: one Tracer belongs to one query and its span tree is built
 // from a single goroutine (the request handler, the engine, and the search
-// coordinator are one goroutine; parallel search workers never touch the
-// tracer — they return their evaluation durations to the coordinator, which
-// records them in pop order so traces stay deterministic at any Parallelism).
+// are one goroutine).
 package obs
 
 import "time"
@@ -138,10 +136,9 @@ func (t *Tracer) Root() *Span {
 	return t.root
 }
 
-// NodeEval is one consumed lattice-node evaluation, in the control loop's
-// pop order. All fields except EvalMicros are deterministic replays of the
-// sequential search at any Parallelism; EvalMicros is the one wall-clock
-// field (join time as measured on whichever worker ran the node).
+// NodeEval is one lattice-node evaluation, in the control loop's pop order.
+// All fields except EvalMicros are deterministic; EvalMicros is the one
+// wall-clock field (the node's join time).
 type NodeEval struct {
 	// Node is the lattice node's edge bitmask (lattice.EdgeSet).
 	Node uint64

@@ -162,7 +162,7 @@ func TestChaosPartialModes(t *testing.T) {
 	for _, mode := range modes {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
-			f := newFleet(t, eng, 4, 1, onShard(victim, mode.mw), chaosRouterConfig())
+			f := newFleet(t, eng, 4, 0, onShard(victim, mode.mw), chaosRouterConfig())
 			w := post(t, f.rt, "/v1/query", body)
 			if w.Code != http.StatusOK {
 				t.Fatalf("degraded query status = %d, want 200; body %s", w.Code, w.Body.String())
@@ -197,7 +197,7 @@ func TestChaosPartialNeverCached(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	}
-	f := newFleet(t, eng, 2, 1, onShard(1, toggled), chaosRouterConfig())
+	f := newFleet(t, eng, 2, 0, onShard(1, toggled), chaosRouterConfig())
 	body := `{"tuple":["Jerry Yang","Yahoo!"],"k":10}`
 
 	first := decodeQueryResp(t, post(t, f.rt, "/v1/query", body))
@@ -219,7 +219,7 @@ func TestChaosPartialNeverCached(t *testing.T) {
 func TestChaosBatchPartial(t *testing.T) {
 	eng := fig1Engine(t)
 	const victim = 0
-	f := newFleet(t, eng, 3, 1, onShard(victim, faultStatus(http.StatusInternalServerError, "internal")), chaosRouterConfig())
+	f := newFleet(t, eng, 3, 0, onShard(victim, faultStatus(http.StatusInternalServerError, "internal")), chaosRouterConfig())
 	body := `{"queries":[
 		{"tuple":["Jerry Yang","Yahoo!"],"k":10},
 		{"tuple":["Sergey Brin","Google"],"k":5}
@@ -254,7 +254,7 @@ func TestChaosBatchPartial(t *testing.T) {
 func TestChaosExplainPartial(t *testing.T) {
 	eng := fig1Engine(t)
 	const victim = 1
-	f := newFleet(t, eng, 3, 1, onShard(victim, faultStatus(http.StatusInternalServerError, "internal")), chaosRouterConfig())
+	f := newFleet(t, eng, 3, 0, onShard(victim, faultStatus(http.StatusInternalServerError, "internal")), chaosRouterConfig())
 	w := post(t, f.rt, "/v1/query:explain", `{"tuple":["Jerry Yang","Yahoo!"],"k":10}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("explain status = %d, body %s", w.Code, w.Body.String())
@@ -299,7 +299,7 @@ func TestChaosAllShardsFailed(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			f := newFleet(t, eng, 2, 1, func(i int, h http.Handler) http.Handler {
+			f := newFleet(t, eng, 2, 0, func(i int, h http.Handler) http.Handler {
 				return queryPathsOnly(tc.mw)(h)
 			}, chaosRouterConfig())
 			w := post(t, f.rt, "/v1/query", body)
@@ -345,7 +345,7 @@ func TestChaosStaleServe(t *testing.T) {
 			cfg := chaosRouterConfig()
 			cfg.StaleServe = enabled
 			cfg.StaleTTL = 10 * time.Millisecond
-			f := newFleet(t, eng, 2, 1, toggled, cfg)
+			f := newFleet(t, eng, 2, 0, toggled, cfg)
 
 			warm := decodeQueryResp(t, post(t, f.rt, "/v1/query", body))
 			if warm.Partial || warm.Stale {
@@ -411,7 +411,7 @@ func TestChaosBrownoutOR(t *testing.T) {
 			_, _ = w.Write(rec.Body.Bytes())
 		})
 	}
-	f := newFleet(t, eng, 3, 1, onShard(1, relabel), chaosRouterConfig())
+	f := newFleet(t, eng, 3, 0, onShard(1, relabel), chaosRouterConfig())
 	res := decodeQueryResp(t, post(t, f.rt, "/v1/query", `{"tuple":["Jerry Yang","Yahoo!"],"k":10}`))
 	if !res.BrownedOut {
 		t.Fatal("merged response lost one shard's browned_out label")
@@ -434,7 +434,7 @@ func TestChaosHealthz(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	}
-	f := newFleet(t, eng, 2, 1, mw, chaosRouterConfig())
+	f := newFleet(t, eng, 2, 0, mw, chaosRouterConfig())
 	getHealth := func() (int, string) {
 		req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
 		w := httptest.NewRecorder()
@@ -482,7 +482,7 @@ func TestChaosStatzAccounting(t *testing.T) {
 			})
 		})(h)
 	}
-	f := newFleet(t, eng, 2, 1, toggled, chaosRouterConfig())
+	f := newFleet(t, eng, 2, 0, toggled, chaosRouterConfig())
 
 	const ok = `{"tuple":["Jerry Yang","Yahoo!"],"k":10,"no_cache":true}`
 	// served: healthy queries (one also exercises a deterministic 404, which

@@ -56,13 +56,14 @@ type testFleet struct {
 
 // newFleet boots n shard daemons over eng — each restricted to its answer
 // partition via WithShard(i, n) — and the unsharded baseline over the same
-// engine, then fronts the shards with a router. mw, when non-nil, wraps each
-// shard's handler (chaos tests inject faults there). rcfg tunes the router;
-// Shards and a quiet Logger are filled in here.
+// engine, then fronts the shards with a router. Every daemon gets `workers`
+// admission worker slots (0 selects the server default). mw, when non-nil, wraps each shard's handler
+// (chaos tests inject faults there). rcfg tunes the router; Shards and a
+// quiet Logger are filled in here.
 func newFleet(t *testing.T, eng *gqbe.Engine, n, workers int, mw func(i int, h http.Handler) http.Handler, rcfg Config) *testFleet {
 	t.Helper()
 	scfg := server.Config{
-		SearchWorkers: workers,
+		MaxConcurrent: workers,
 		// Fig. 1-scale answers arrive in microseconds; the default cache
 		// admission floor (1ms) would reject them all.
 		CacheMinLatency: -1,
@@ -130,9 +131,10 @@ func zeroTimings(r *server.QueryResponse) {
 	r.Stats.ProcessingMS = 0
 }
 
-// fleetMatrix is the shard-count × search-worker sweep every oracle test
-// runs under: worker parallelism must not perturb the merged ranking any
-// more than sharding does.
+// fleetMatrix is the shard-count × admission-worker sweep every oracle test
+// runs under. With one worker slot a daemon runs a batch's items one at a
+// time; with eight it runs them concurrently. Neither may perturb the merged
+// ranking any more than sharding does.
 var fleetMatrix = []struct {
 	shards, workers int
 }{
@@ -360,7 +362,7 @@ func TestOracleExplain(t *testing.T) {
 // SAME (timing-zeroed) payload, and no_cache bypasses it.
 func TestOracleCacheAndCoalesce(t *testing.T) {
 	eng := fig1Engine(t)
-	f := newFleet(t, eng, 4, 1, nil, Config{})
+	f := newFleet(t, eng, 4, 0, nil, Config{})
 	body := `{"tuple":["Jerry Yang","Yahoo!"],"k":10}`
 
 	first := decodeQueryResp(t, post(t, f.rt, "/v1/query", body))
@@ -399,7 +401,7 @@ func TestRequestIDPropagation(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	}
-	f := newFleet(t, eng, 3, 1, record, Config{})
+	f := newFleet(t, eng, 3, 0, record, Config{})
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(`{"tuple":["Jerry Yang","Yahoo!"],"k":3,"no_cache":true}`))
 	req.Header.Set("Content-Type", "application/json")

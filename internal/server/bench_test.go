@@ -93,15 +93,8 @@ func (r *latRecorder) percentileMS(p float64) float64 {
 //	          silently pausing the offered load (no coordinated omission);
 //	          reported as ol_p50ms/ol_p99ms beside the server-side stats.
 //
-// Two further modes probe policy knobs rather than arrival shape:
+// A third mode probes the admission policy rather than arrival shape:
 //
-//	workers    — the closed loop at -search-workers 1/2/8 with no_cache on
-//	             every request, so each one runs a real lattice search and
-//	             the sweep measures the parallel fan-out, not the result
-//	             cache. Single-core caveat: with no second core, W>1 rows
-//	             measure coordination overhead only (identical answers are
-//	             the topk oracle's guarantee); read speedups on multi-core
-//	             hardware.
 //	saturation — an offered-load ramp past the admission limit: N clients
 //	             (8..64 against 8 worker slots) fire cache-bypassing queries
 //	             under a short queue wait, so the server must shed; reported
@@ -111,25 +104,18 @@ func (r *latRecorder) percentileMS(p float64) float64 {
 //
 //	go test -run '^$' -bench BenchmarkServerLoad -benchtime 1x ./internal/server
 func BenchmarkServerLoad(b *testing.B) {
-	b.Run("closed", func(b *testing.B) { benchServerLoad(b, false, 1, false) })
-	b.Run("poisson", func(b *testing.B) { benchServerLoad(b, true, 1, false) })
-	for _, w := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("workers/W%d", w), func(b *testing.B) { benchServerLoad(b, false, w, true) })
-	}
+	b.Run("closed", func(b *testing.B) { benchServerLoad(b, false) })
+	b.Run("poisson", func(b *testing.B) { benchServerLoad(b, true) })
 	for _, clients := range []int{8, 16, 32, 64} {
 		b.Run(fmt.Sprintf("saturation/offered%d", clients), func(b *testing.B) { benchSaturation(b, clients) })
 	}
 }
 
-func benchServerLoad(b *testing.B, poisson bool, searchWorkers int, noCache bool) {
+func benchServerLoad(b *testing.B, poisson bool) {
 	eng, ds := loadBenchEngine(b)
 
 	const workers = 8
 	queryIDs := []string{"F1", "F2", "F3", "F4", "F5", "F6"}
-	suffix := `}`
-	if noCache {
-		suffix = `,"no_cache":true}`
-	}
 	bodies := make([]string, len(queryIDs))
 	var batchItems []string
 	for i, id := range queryIDs {
@@ -137,8 +123,8 @@ func benchServerLoad(b *testing.B, poisson bool, searchWorkers int, noCache bool
 		if err != nil {
 			b.Fatal(err)
 		}
-		bodies[i] = `{"tuple":` + string(tup) + suffix
-		batchItems = append(batchItems, `{"tuple":`+string(tup)+suffix)
+		bodies[i] = `{"tuple":` + string(tup) + `}`
+		batchItems = append(batchItems, bodies[i])
 	}
 	batchBody := `{"queries":[` + strings.Join(batchItems, ",") + `]}`
 
@@ -146,7 +132,7 @@ func benchServerLoad(b *testing.B, poisson bool, searchWorkers int, noCache bool
 	var snap statzSnapshot
 	var rec *latRecorder
 	for n := 0; n < b.N; n++ {
-		srv := New(eng, Config{MaxConcurrent: workers, SearchWorkers: searchWorkers})
+		srv := New(eng, Config{MaxConcurrent: workers})
 		post := func(path, body string) int {
 			req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
 			w := httptest.NewRecorder()

@@ -89,7 +89,6 @@ type spanJSON struct {
 // fields are explicit so the schema states that, rather than implying it.
 type explainServing struct {
 	QueueWaitMS float64 `json:"queue_wait_ms"`
-	Workers     int     `json:"workers"`
 	TimeoutMS   float64 `json:"timeout_ms"`
 	Cached      bool    `json:"cached"`
 	Coalesced   bool    `json:"coalesced"`
@@ -203,7 +202,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Trace:     spanToJSON(root, &spanBudget, &truncated),
 		Serving: explainServing{
 			QueueWaitMS: float64(queueWaitOf(root)) / float64(time.Millisecond),
-			Workers:     s.cfg.SearchWorkers,
 			TimeoutMS:   float64(timeout) / float64(time.Millisecond),
 			Cached:      flags.cached,
 			Coalesced:   flags.coalesced,

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,133 +35,136 @@ func decodeExplain(t *testing.T, w *httptest.ResponseRecorder) explainResponse {
 }
 
 // TestExplainBreakdown pins the explain schema against the engine's own
-// stats, at sequential and fanned-out search settings: the per-node
-// evaluation table has exactly stats.nodes_evaluated rows, the lattice
-// summary agrees with stats, the MQG rendering matches mqg_edges, and the
-// span tree covers the pipeline with stage durations accounting for the
-// request wall time.
+// stats: the per-node evaluation table has exactly stats.nodes_evaluated
+// rows, the lattice summary agrees with stats, the MQG rendering matches
+// mqg_edges, and the span tree covers the pipeline with stage durations
+// accounting for the request wall time.
 func TestExplainBreakdown(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		t.Run(fmt.Sprintf("W%d", workers), func(t *testing.T) {
-			s := newTestServer(t, Config{SearchWorkers: workers})
-			w := postExplain(t, s, `{"tuple":["Jerry Yang","Yahoo!"]}`)
-			if w.Code != http.StatusOK {
-				t.Fatalf("status = %d, body %s", w.Code, w.Body.String())
-			}
-			if w.Header().Get("X-Request-ID") == "" {
-				t.Error("no X-Request-ID header")
-			}
-			res := decodeExplain(t, w)
-			if res.RequestID == "" {
-				t.Error("no request_id in body")
-			}
-			if len(res.Answers) == 0 {
-				t.Fatal("no answers")
-			}
-			if res.Partial || res.Error != nil {
-				t.Fatalf("unexpected partial/error: %+v", res.Error)
-			}
+	s := newTestServer(t, Config{})
+	w := postExplain(t, s, `{"tuple":["Jerry Yang","Yahoo!"]}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status = %d, body %s", w.Code, w.Body.String())
+	}
+	if w.Header().Get("X-Request-ID") == "" {
+		t.Error("no X-Request-ID header")
+	}
+	res := decodeExplain(t, w)
+	if res.RequestID == "" {
+		t.Error("no request_id in body")
+	}
+	if len(res.Answers) == 0 {
+		t.Fatal("no answers")
+	}
+	if res.Partial || res.Error != nil {
+		t.Fatalf("unexpected partial/error: %+v", res.Error)
+	}
 
-			if got := len(res.NodeEvals); got != res.Stats.NodesEvaluated {
-				t.Errorf("node_evals rows = %d, stats.nodes_evaluated = %d", got, res.Stats.NodesEvaluated)
+	if got := len(res.NodeEvals); got != res.Stats.NodesEvaluated {
+		t.Errorf("node_evals rows = %d, stats.nodes_evaluated = %d", got, res.Stats.NodesEvaluated)
+	}
+	if res.Lattice.Evaluated != res.Stats.NodesEvaluated {
+		t.Errorf("lattice.evaluated = %d, stats says %d", res.Lattice.Evaluated, res.Stats.NodesEvaluated)
+	}
+	if res.Lattice.Generated < res.Lattice.Evaluated {
+		t.Errorf("generated %d < evaluated %d", res.Lattice.Generated, res.Lattice.Evaluated)
+	}
+	if res.Lattice.StopReason == "" {
+		t.Error("no lattice.stop_reason")
+	}
+	nulls := 0
+	for _, ne := range res.NodeEvals {
+		if len(ne.Edges) == 0 {
+			t.Error("node eval with no MQG edges")
+		}
+		for _, e := range ne.Edges {
+			if e < 0 || e >= len(res.MQG.Edges) {
+				t.Errorf("node eval edge index %d out of MQG range %d", e, len(res.MQG.Edges))
 			}
-			if res.Lattice.Evaluated != res.Stats.NodesEvaluated {
-				t.Errorf("lattice.evaluated = %d, stats says %d", res.Lattice.Evaluated, res.Stats.NodesEvaluated)
-			}
-			if res.Lattice.Generated < res.Lattice.Evaluated {
-				t.Errorf("generated %d < evaluated %d", res.Lattice.Generated, res.Lattice.Evaluated)
-			}
-			if res.Lattice.StopReason == "" {
-				t.Error("no lattice.stop_reason")
-			}
-			nulls := 0
-			for _, ne := range res.NodeEvals {
-				if len(ne.Edges) == 0 {
-					t.Error("node eval with no MQG edges")
-				}
-				for _, e := range ne.Edges {
-					if e < 0 || e >= len(res.MQG.Edges) {
-						t.Errorf("node eval edge index %d out of MQG range %d", e, len(res.MQG.Edges))
-					}
-				}
-				if ne.Null {
-					nulls++
-				}
-			}
-			if nulls != res.Lattice.Null {
-				t.Errorf("null rows in table = %d, lattice.null = %d", nulls, res.Lattice.Null)
-			}
+		}
+		if ne.Null {
+			nulls++
+		}
+	}
+	if nulls != res.Lattice.Null {
+		t.Errorf("null rows in table = %d, lattice.null = %d", nulls, res.Lattice.Null)
+	}
 
-			if res.MQG == nil || len(res.MQG.Edges) != res.Stats.MQGEdges {
-				t.Fatalf("mqg rendering = %+v, want %d edges", res.MQG, res.Stats.MQGEdges)
-			}
-			if len(res.MQG.Nodes) == 0 {
-				t.Error("mqg rendering has no nodes")
-			}
+	if res.MQG == nil || len(res.MQG.Edges) != res.Stats.MQGEdges {
+		t.Fatalf("mqg rendering = %+v, want %d edges", res.MQG, res.Stats.MQGEdges)
+	}
+	if len(res.MQG.Nodes) == 0 {
+		t.Error("mqg rendering has no nodes")
+	}
 
-			if res.Trace.Name != "query" {
-				t.Fatalf("trace root = %q, want query", res.Trace.Name)
-			}
-			stages := map[string]bool{}
-			var walk func(sp spanJSON)
-			walk = func(sp spanJSON) {
-				stages[sp.Name] = true
-				for _, c := range sp.Children {
-					walk(c)
-				}
-			}
-			walk(res.Trace)
-			for _, want := range []string{"admission.wait", "engine", "discovery", "lattice.build", "search"} {
-				if !stages[want] {
-					t.Errorf("span %q missing from trace (have %v)", want, stages)
-				}
-			}
-			// Stage coverage: the root's direct children account for the
-			// request's wall time within 5% (plus a small absolute slack —
-			// the Fig. 1 engine answers in microseconds, where fixed
-			// bookkeeping costs would dominate a purely relative bound).
-			var children int64
-			for _, c := range res.Trace.Children {
-				children += c.DurationUS
-			}
-			slack := res.Trace.DurationUS / 20
-			if slack < 250 {
-				slack = 250
-			}
-			if children > res.Trace.DurationUS {
-				t.Errorf("child spans (%dµs) exceed root (%dµs)", children, res.Trace.DurationUS)
-			}
-			if res.Trace.DurationUS-children > slack {
-				t.Errorf("unaccounted root time: root %dµs, children sum %dµs", res.Trace.DurationUS, children)
-			}
+	if res.Trace.Name != "query" {
+		t.Fatalf("trace root = %q, want query", res.Trace.Name)
+	}
+	stages := map[string]bool{}
+	var walk func(sp spanJSON)
+	walk = func(sp spanJSON) {
+		stages[sp.Name] = true
+		for _, c := range sp.Children {
+			walk(c)
+		}
+	}
+	walk(res.Trace)
+	for _, want := range []string{"admission.wait", "engine", "discovery", "lattice.build", "search"} {
+		if !stages[want] {
+			t.Errorf("span %q missing from trace (have %v)", want, stages)
+		}
+	}
+	// Stage coverage: the root's direct children account for the
+	// request's wall time within 5% (plus a small absolute slack —
+	// the Fig. 1 engine answers in microseconds, where fixed
+	// bookkeeping costs would dominate a purely relative bound).
+	var children int64
+	for _, c := range res.Trace.Children {
+		children += c.DurationUS
+	}
+	slack := res.Trace.DurationUS / 20
+	if slack < 250 {
+		slack = 250
+	}
+	if children > res.Trace.DurationUS {
+		t.Errorf("child spans (%dµs) exceed root (%dµs)", children, res.Trace.DurationUS)
+	}
+	if res.Trace.DurationUS-children > slack {
+		t.Errorf("unaccounted root time: root %dµs, children sum %dµs", res.Trace.DurationUS, children)
+	}
 
-			if res.Serving.Workers != workers {
-				t.Errorf("serving.workers = %d, want %d", res.Serving.Workers, workers)
-			}
-			if res.Serving.Cached || res.Serving.Coalesced {
-				t.Error("explain reported a cached/coalesced execution")
-			}
-		})
+	if res.Serving.Cached || res.Serving.Coalesced {
+		t.Error("explain reported a cached/coalesced execution")
 	}
 }
 
-// TestExplainDeterministicAcrossWorkers: the explained evaluation table is
-// the sequential search's at any fan-out (the parallel-search oracle,
-// surfaced through the API).
+// TestExplainDeterministicAcrossWorkers: explains running at once on the
+// server's admission worker slots each report the evaluation table a lone
+// explain reports — every request's trace is its own.
 func TestExplainDeterministicAcrossWorkers(t *testing.T) {
-	base := newTestServer(t, Config{SearchWorkers: 1})
-	seq := decodeExplain(t, postExplain(t, base, `{"tuple":["Jerry Yang","Yahoo!"]}`))
-	for _, workers := range []int{2, 8} {
-		s := newTestServer(t, Config{SearchWorkers: workers})
-		par := decodeExplain(t, postExplain(t, s, `{"tuple":["Jerry Yang","Yahoo!"]}`))
-		if len(par.NodeEvals) != len(seq.NodeEvals) {
-			t.Fatalf("W%d: %d node evals, sequential has %d", workers, len(par.NodeEvals), len(seq.NodeEvals))
+	const body = `{"tuple":["Jerry Yang","Yahoo!"]}`
+	lone := decodeExplain(t, postExplain(t, newTestServer(t, Config{}), body))
+	const workers = 4
+	s := newTestServer(t, Config{MaxConcurrent: workers})
+	got := make([]*httptest.ResponseRecorder, workers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = postExplain(t, s, body)
+		}(i)
+	}
+	wg.Wait()
+	for i, w := range got {
+		res := decodeExplain(t, w)
+		if len(res.NodeEvals) != len(lone.NodeEvals) {
+			t.Fatalf("explain %d: %d node evals, lone explain has %d", i, len(res.NodeEvals), len(lone.NodeEvals))
 		}
-		for i := range par.NodeEvals {
-			p, q := par.NodeEvals[i], seq.NodeEvals[i]
+		for j := range res.NodeEvals {
+			p, q := res.NodeEvals[j], lone.NodeEvals[j]
 			p.EvalUS, q.EvalUS = 0, 0 // the one wall-clock field
 			if fmt.Sprint(p) != fmt.Sprint(q) {
-				t.Errorf("W%d: node eval %d differs: %+v vs %+v", workers, i, p, q)
+				t.Errorf("explain %d: node eval %d differs: %+v vs %+v", i, j, p, q)
 			}
 		}
 	}

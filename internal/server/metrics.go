@@ -35,7 +35,7 @@ type serverMetrics struct {
 	slowQueries atomic.Uint64 // requests whose total handling time met Config.SlowQuery
 
 	// Degraded-service counters (the /statz "faults" section):
-	recoveredPanics atomic.Uint64 // panics recovered into 500s (handler recover sites + engine worker panics)
+	recoveredPanics atomic.Uint64 // panics recovered into 500s at the query, batch and explain handlers
 	staleServed     atomic.Uint64 // degraded answers served from retained cache entries
 	reloadsOK       atomic.Uint64 // hot reloads that swapped in a new engine generation
 	reloadsRejected atomic.Uint64 // hot reloads rejected (loader failed); serving engine retained
@@ -110,14 +110,6 @@ type statzBuild struct {
 	MappedBytes int64   `json:"mapped_bytes,omitempty"`
 }
 
-// statzSearch describes the lattice-search fan-out policy the server runs
-// queries with: workers is the effective SearchWorkers count (1 =
-// sequential). Answers are identical at any setting; the field is surfaced
-// so operators can correlate latency shifts with the knob.
-type statzSearch struct {
-	Workers int `json:"workers"`
-}
-
 // statzReloads splits hot-reload attempts by outcome; a rejected attempt
 // means the loader failed and the previous engine kept serving.
 type statzReloads struct {
@@ -166,7 +158,6 @@ type statzSnapshot struct {
 	Cache         statzCache   `json:"cache"`
 	Engine        statzEngine  `json:"engine"`
 	Build         statzBuild   `json:"build"`
-	Search        statzSearch  `json:"search"`
 	// Shard is the daemon's fleet shard identity; absent on unsharded
 	// daemons.
 	Shard  *statzShard `json:"shard,omitempty"`
@@ -179,7 +170,7 @@ type statzSnapshot struct {
 // snapshot assembles a consistent-enough view of the serving metrics: each
 // counter is read atomically; cross-counter skew of a few requests is fine
 // for a stats endpoint.
-func (m *serverMetrics) snapshot(cache *resultCache, adm *admission, eng statzEngine, build statzBuild, search statzSearch, faultsInjected, generation uint64) statzSnapshot {
+func (m *serverMetrics) snapshot(cache *resultCache, adm *admission, eng statzEngine, build statzBuild, faultsInjected, generation uint64) statzSnapshot {
 	uptime := time.Since(m.start).Seconds()
 	lat := m.searchLat.Snapshot()
 	hits, misses, evictions := cache.counters()
@@ -225,7 +216,6 @@ func (m *serverMetrics) snapshot(cache *resultCache, adm *admission, eng statzEn
 		},
 		Engine: eng,
 		Build:  build,
-		Search: search,
 		Faults: statzFaults{
 			Injected:        faultsInjected,
 			RecoveredPanics: m.recoveredPanics.Load(),

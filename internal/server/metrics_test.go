@@ -13,7 +13,7 @@ func TestSnapshotLatencyQuantiles(t *testing.T) {
 	cache := newResultCache(8, 1)
 	adm := newAdmission(1, time.Second)
 
-	snap := m.snapshot(cache, adm, statzEngine{}, statzBuild{}, statzSearch{}, 0, 1)
+	snap := m.snapshot(cache, adm, statzEngine{}, statzBuild{}, 0, 1)
 	if snap.Latency.Samples != 0 || snap.Latency.P50 != 0 || snap.Latency.P99 != 0 {
 		t.Fatalf("empty histogram: %+v", snap.Latency)
 	}
@@ -23,7 +23,7 @@ func TestSnapshotLatencyQuantiles(t *testing.T) {
 	// (50ms, 100ms] bucket, so p99 is interpolated within (50, 100].
 	m.searchLat.Observe(time.Millisecond)
 	m.searchLat.Observe(80 * time.Millisecond)
-	snap = m.snapshot(cache, adm, statzEngine{}, statzBuild{}, statzSearch{}, 0, 1)
+	snap = m.snapshot(cache, adm, statzEngine{}, statzBuild{}, 0, 1)
 	if snap.Latency.Samples != 2 {
 		t.Fatalf("samples = %d, want 2", snap.Latency.Samples)
 	}
@@ -40,7 +40,7 @@ func TestSnapshotLatencyQuantiles(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m.searchLat.Observe(time.Duration(i+1) * time.Second)
 	}
-	snap = m.snapshot(cache, adm, statzEngine{}, statzBuild{}, statzSearch{}, 0, 1)
+	snap = m.snapshot(cache, adm, statzEngine{}, statzBuild{}, 0, 1)
 	if snap.Latency.Samples != 12 {
 		t.Fatalf("samples = %d, want 12 (lifetime count)", snap.Latency.Samples)
 	}
@@ -50,7 +50,7 @@ func TestSnapshotLatencyQuantiles(t *testing.T) {
 func TestSnapshotSlowQueries(t *testing.T) {
 	m := newServerMetrics()
 	m.slowQueries.Add(3)
-	snap := m.snapshot(newResultCache(8, 1), newAdmission(1, time.Second), statzEngine{}, statzBuild{}, statzSearch{}, 0, 1)
+	snap := m.snapshot(newResultCache(8, 1), newAdmission(1, time.Second), statzEngine{}, statzBuild{}, 0, 1)
 	if snap.SlowQueries != 3 {
 		t.Errorf("slow_queries = %d, want 3", snap.SlowQueries)
 	}

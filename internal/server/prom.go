@@ -65,7 +65,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	promCounter(&b, "gqbe_faults_injected_total",
 		"Faults fired by the injection registry over the process lifetime (0 in production).", fault.Injected())
 	promCounter(&b, "gqbe_recovered_panics_total",
-		"Panics recovered into error responses (request handlers and search workers); the process survived each one.", m.recoveredPanics.Load())
+		"Panics recovered into error responses; the process survived each one.", m.recoveredPanics.Load())
 	promCounter(&b, "gqbe_stale_served_total",
 		"Degraded answers served from retained cache entries after a live-path failure.", m.staleServed.Load())
 	promHeader(&b, "gqbe_reloads_total",
@@ -78,7 +78,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	promGauge(&b, "gqbe_cache_entries", "Result cache entries resident.", float64(s.cache.len()))
 	promGauge(&b, "gqbe_in_flight_requests", "Requests currently being handled.", float64(m.inFlight.Load()))
 	promGauge(&b, "gqbe_busy_workers", "Admission worker slots currently held by searches.", float64(s.adm.busy()))
-	promGauge(&b, "gqbe_search_workers", "Configured lattice-search fan-out per query.", float64(s.cfg.SearchWorkers))
 	promGauge(&b, "gqbe_graph_entities", "Entities in the loaded knowledge graph.", float64(eg.eng.NumEntities()))
 	promGauge(&b, "gqbe_graph_facts", "Facts (triples) in the loaded knowledge graph.", float64(eg.eng.NumFacts()))
 	promGauge(&b, "gqbe_graph_predicates", "Distinct predicates in the loaded knowledge graph.", float64(eg.eng.NumPredicates()))

@@ -42,7 +42,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"runtime"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -54,7 +53,6 @@ import (
 	"gqbe/internal/exec"
 	"gqbe/internal/fault"
 	"gqbe/internal/obs"
-	"gqbe/internal/topk"
 )
 
 // Server-side caps on client-tunable options. The admission layer bounds
@@ -116,14 +114,6 @@ type Config struct {
 	// run at once (default 4, never above MaxConcurrent): a single batch
 	// must not monopolize the worker pool against interactive traffic.
 	MaxBatchConcurrency int
-	// SearchWorkers is the number of concurrent lattice-node evaluators
-	// each engine search fans out to (default 1 = sequential; negative
-	// selects GOMAXPROCS). Answers are bit-identical at any setting, so
-	// this is an operator latency knob, never a client request field — but
-	// it multiplies peak join memory: up to MaxConcurrent searches ×
-	// SearchWorkers workers × the row budget can be materialized at once,
-	// so raise one only with an eye on the other.
-	SearchWorkers int
 	// Trace attaches a tracer to every query, so each request's span tree is
 	// recorded (and debug-logged) even below the SlowQuery threshold.
 	// /v1/query:explain is always traced regardless of this setting; plain
@@ -219,12 +209,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxBatchConcurrency > c.MaxConcurrent {
 		c.MaxBatchConcurrency = c.MaxConcurrent
-	}
-	if c.SearchWorkers == 0 {
-		c.SearchWorkers = 1
-	}
-	if c.SearchWorkers < 0 {
-		c.SearchWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -641,9 +625,6 @@ func (q *queryRequest) normalize() ([][]string, gqbe.Options, error) {
 // would-be separators — cannot make two structurally different requests
 // collide. Tuple order is preserved (multi-tuple merge weighting is
 // order-sensitive in principle, so distinct orders are distinct queries).
-// Options.Parallelism is deliberately absent: search fan-out returns
-// bit-identical answers at any worker count (oracle-tested in topk), so
-// keying on it would only fragment the cache across config changes.
 func cacheKeyFor(tuples [][]string, o gqbe.Options) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d|", len(tuples))
@@ -949,7 +930,7 @@ func (s *Server) answerLive(ctx context.Context, eg *engineGen, key string, tupl
 				}
 				continue
 			}
-			if f.err != nil && isInternalFault(f.err) {
+			if f.err != nil && errors.Is(f.err, errInternal) {
 				// A panicking leader is a transient server fault, not a
 				// shared answer: instead of poisoning every follower with the
 				// leader's 500, each follower retries once — joining the next
@@ -1083,12 +1064,10 @@ func (s *Server) execute(ctx context.Context, eg *engineGen, tuples [][]string, 
 	if s.execHook != nil {
 		s.execHook()
 	}
-	// The search fan-out and the tracer are applied here — after cache-key
-	// construction, for every path that reaches the engine (query, batch,
-	// no_cache, explain) — so the fan-out knob is uniformly the server's,
-	// never the client's, and a traced request records the engine's own
-	// stage spans under the "engine" span below.
-	opts.Parallelism = s.cfg.SearchWorkers
+	// The tracer is applied here — after cache-key construction, for every
+	// path that reaches the engine (query, batch, no_cache, explain) — so a
+	// traced request records the engine's own stage spans under the
+	// "engine" span below.
 	opts.Tracer = tr
 	start := time.Now()
 	defer func() {
@@ -1108,31 +1087,7 @@ func (s *Server) execute(ctx context.Context, eg *engineGen, tuples [][]string, 
 	} else {
 		res, err = eg.eng.QueryMultiCtx(qctx, tuples, &opts)
 	}
-	s.noteRecoveredPanic(err)
 	return
-}
-
-// noteRecoveredPanic counts and logs a worker panic the engine recovered
-// into a *topk.PanicError. This is the single counting site for
-// engine-internal panics (classifyQueryError deliberately does not count
-// them again); the stack logged is the worker's own, captured at recovery,
-// pointing at the evaluation that blew up.
-func (s *Server) noteRecoveredPanic(err error) {
-	var pe *topk.PanicError
-	if err == nil || !errors.As(err, &pe) {
-		return
-	}
-	s.met.recoveredPanics.Add(1)
-	s.cfg.Logger.Error("recovered worker panic in engine search",
-		"panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
-}
-
-// isInternalFault matches the 500-class execution failures: the sentinel a
-// panicking flight leader publishes and a recovered worker panic surfaced as
-// a *topk.PanicError.
-func isInternalFault(err error) bool {
-	var pe *topk.PanicError
-	return errors.Is(err, errInternal) || errors.As(err, &pe)
 }
 
 // brownoutActive reports sustained saturation: a standing admission queue at
@@ -1197,11 +1152,11 @@ func (s *Server) classifyQueryError(err error) (int, errorDetail) {
 		// so /statz error rates stay meaningful for alerting.
 		s.met.canceled.Add(1)
 		return http.StatusServiceUnavailable, errorDetail{Code: "canceled", Message: "query canceled"}
-	case isInternalFault(err):
-		// A server fault (engine panic — recovered on a search worker or
-		// published by a panicking flight leader), not a property of the
-		// query: 500, with the detail kept out of the response (the
-		// recovery site already logged the stack and counted it).
+	case errors.Is(err, errInternal):
+		// A server fault (an engine panic published by a panicking flight
+		// leader), not a property of the query: 500, with the detail kept
+		// out of the response (the recovery site already logged the stack
+		// and counted it).
 		s.met.errored.Add(1)
 		return http.StatusInternalServerError, errorDetail{Code: "internal", Message: "internal server error"}
 	case errors.Is(err, gqbe.ErrUnknownEntity):
@@ -1310,8 +1265,6 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		Snapshot:    info.FromSnapshot,
 		Mapped:      info.Mapped,
 		MappedBytes: info.MappedBytes,
-	}, statzSearch{
-		Workers: s.cfg.SearchWorkers,
 	}, fault.Injected(), eg.gen)
 	if index, count := eg.eng.Shard(); count > 1 {
 		snap.Shard = &statzShard{Index: index, Count: count}

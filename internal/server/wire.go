@@ -63,8 +63,8 @@ func (q *queryRequest) Normalize() ([][]string, gqbe.Options, error) {
 }
 
 // CacheKey encodes a normalized request as the server's canonical cache-key
-// string (entity names length-prefixed, options appended; Parallelism and
-// shard identity excluded — both return bit-identical answers).
+// string (entity names length-prefixed, options appended; shard identity
+// excluded — it is fixed per daemon).
 func CacheKey(tuples [][]string, o gqbe.Options) string {
 	return cacheKeyFor(tuples, o)
 }

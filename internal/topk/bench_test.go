@@ -2,7 +2,6 @@ package topk
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -26,8 +25,8 @@ var (
 
 // benchFixture runs discovery for the benchmark workload queries over the
 // kgsynth Freebase-like graph (seed 42) once per process; Search itself is
-// what the benchmarks measure. The parallel-search oracle tests reuse it
-// (kgFixture) so the W-sweep runs against the same realistic graph.
+// what the benchmarks measure. The oracle tests reuse it (kgFixture) so they
+// run against the same realistic graph.
 func benchFixture(b *testing.B) {
 	b.Helper()
 	kgFixture()
@@ -109,21 +108,5 @@ func BenchmarkSearchTraced(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkSearchWorkers sweeps the parallel fan-out (Options.Parallelism)
-// over the workload queries. W=1 is the sequential baseline above; W>1 rows
-// measure the coordinator + worker machinery. On a single-core container the
-// W>1 rows show pure coordination overhead (there is no second core to win
-// time back on) — read speedups only on multi-core hardware; correctness at
-// every W is the oracle tests' job, not this benchmark's.
-func BenchmarkSearchWorkers(b *testing.B) {
-	for _, id := range benchQuery {
-		for _, w := range []int{1, 2, 8} {
-			b.Run(fmt.Sprintf("%s/W%d", id, w), func(b *testing.B) {
-				benchSearch(b, id, Options{K: 25, Parallelism: w})
-			})
-		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"gqbe/internal/graph"
@@ -12,31 +13,56 @@ import (
 	"gqbe/internal/storage"
 )
 
-// searchWorkerSweep is the oracle's W axis: 1 is the sequential loop the
-// paper describes, 2 and 8 exercise under- and over-subscribed fan-out on
-// any hardware (8 workers on a single core is pure coordination stress).
-var searchWorkerSweep = []int{2, 8}
+// Concurrency in this engine is across queries, never inside one: each
+// search runs Alg. 2 on one goroutine with its own evaluator, memo and
+// scratch state, while the serving layer runs several searches at once over
+// one shared store. These tests pin that model: searches running in parallel
+// over one store and lattice each return the Result a lone search returns.
+// Under -race they also catch any mutable state a change lets searches share.
 
-// checkParallelOracle runs the sequential search and the W-sweep on one
-// (store, lattice, exclude, opts) case and requires every Result to be
-// deeply identical — answers, scores, tie-break order, BestGraph, Stopped,
-// and all counters. This is the bit-identical guarantee Options.Parallelism
-// advertises.
+// parallelSearches is how many copies of a search each case runs at once.
+const parallelSearches = 4
+
+type searchOutcome struct {
+	res *Result
+	err error
+}
+
+// searchParallel runs parallelSearches identical searches concurrently.
+func searchParallel(ctx context.Context, store *storage.Store, lat *lattice.Lattice, exclude [][]graph.NodeID, opts Options) []searchOutcome {
+	out := make([]searchOutcome, parallelSearches)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			out[i].res, out[i].err = SearchCtx(ctx, store, lat, exclude, opts)
+		}(i)
+	}
+	wg.Wait()
+	return out
+}
+
+// checkParallelOracle runs one search alone, then the same search on
+// parallelSearches goroutines at once, and requires every Result to be
+// deeply identical to the lone one: answers, scores, tie-break order,
+// BestGraph, Stopped, and all counters. The lone Result must also report
+// the row-budget stop reason only after a skip.
 func checkParallelOracle(t *testing.T, name string, store *storage.Store, lat *lattice.Lattice, exclude [][]graph.NodeID, opts Options) {
 	t.Helper()
-	opts.Parallelism = 1
 	want, err := SearchCtx(context.Background(), store, lat, exclude, opts)
 	if err != nil {
-		t.Fatalf("%s: sequential search: %v", name, err)
+		t.Fatalf("%s: lone search: %v", name, err)
 	}
-	for _, w := range searchWorkerSweep {
-		opts.Parallelism = w
-		got, err := SearchCtx(context.Background(), store, lat, exclude, opts)
-		if err != nil {
-			t.Fatalf("%s: W=%d search: %v", name, w, err)
+	if want.Stopped == StopRowBudget && want.RowBudgetSkips == 0 {
+		t.Errorf("%s: Stopped = %q without a row-budget skip", name, want.Stopped)
+	}
+	for i, got := range searchParallel(context.Background(), store, lat, exclude, opts) {
+		if got.err != nil {
+			t.Fatalf("%s: parallel search %d: %v", name, i, got.err)
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: W=%d Result differs from sequential:\n seq: %+v\n par: %+v", name, w, want, got)
+		if !reflect.DeepEqual(want, got.res) {
+			t.Errorf("%s: parallel search %d differs from the lone search:\n lone: %+v\n got:  %+v", name, i, want, got.res)
 		}
 	}
 }
@@ -63,9 +89,7 @@ func TestParallelSearchOracleFig1(t *testing.T) {
 
 // TestParallelSearchOracleKGSynth is the realistic-graph half of the oracle:
 // the kgsynth Freebase-like graph (seed 42, the repo's benchmark graph) with
-// the two workload queries the engine microbenches run. F18's lattice is
-// large enough that the parallel coordinator's speculation, pruning
-// interplay, and Theorem-4 cut all actually fire.
+// the two workload queries the engine microbenches run.
 func TestParallelSearchOracleKGSynth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kgsynth graph build in -short mode")
@@ -80,77 +104,45 @@ func TestParallelSearchOracleKGSynth(t *testing.T) {
 }
 
 // TestParallelSearchRowBudgetSkips forces the row budget low enough that
-// lattice nodes are skipped and checks the skip accounting still matches the
-// sequential search exactly (skips are counted only for consumed nodes, so
-// wasted speculation must not inflate them).
+// lattice nodes are skipped, so the parallel searches must also agree on the
+// skip accounting and the row-budget stop reason.
 func TestParallelSearchRowBudgetSkips(t *testing.T) {
 	_, store, lat, exclude := pipeline(t, "Jerry Yang", "Yahoo!")
-	opts := Options{K: 1000, KPrime: 1000, MaxRows: 6, Parallelism: 1}
+	opts := Options{K: 1000, KPrime: 1000, MaxRows: 6}
 	want, err := SearchCtx(context.Background(), store, lat, exclude, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.RowBudgetSkips == 0 {
-		t.Fatalf("fixture too small: no row-budget skips at MaxRows=%d", opts.MaxRows)
+	if want.RowBudgetSkips == 0 || want.Stopped != StopRowBudget {
+		t.Fatalf("fixture too small: %d row-budget skips, Stopped = %q at MaxRows=%d",
+			want.RowBudgetSkips, want.Stopped, opts.MaxRows)
 	}
-	for _, w := range searchWorkerSweep {
-		opts.Parallelism = w
-		got, err := SearchCtx(context.Background(), store, lat, exclude, opts)
-		if err != nil {
-			t.Fatalf("W=%d: %v", w, err)
-		}
-		if got.RowBudgetSkips != want.RowBudgetSkips {
-			t.Errorf("W=%d: RowBudgetSkips = %d, sequential %d", w, got.RowBudgetSkips, want.RowBudgetSkips)
-		}
-	}
+	checkParallelOracle(t, "row-budget", store, lat, exclude, opts)
 }
 
+// TestParallelSearchCanceled: searches sharing one canceled context (a
+// canceled batch request) each return a partial Result with StopCanceled
+// alongside the context error (anytime answers).
 func TestParallelSearchCanceled(t *testing.T) {
 	_, store, lat, exclude := pipeline(t, "Jerry Yang", "Yahoo!")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, w := range append([]int{1}, searchWorkerSweep...) {
-		res, err := SearchCtx(ctx, store, lat, exclude, Options{K: 10, Parallelism: w})
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("W=%d: err = %v, want context.Canceled", w, err)
+	for i, got := range searchParallel(ctx, store, lat, exclude, Options{K: 10}) {
+		if !errors.Is(got.err, context.Canceled) {
+			t.Errorf("search %d: err = %v, want context.Canceled", i, got.err)
 		}
-		// Cancellation surfaces the partial state alongside the error, with
-		// a distinct stop disposition (anytime answers).
-		if res == nil {
-			t.Errorf("W=%d: canceled search returned no partial result", w)
+		if got.res == nil {
+			t.Errorf("search %d: canceled search returned no partial result", i)
 			continue
 		}
-		if res.Stopped != StopCanceled {
-			t.Errorf("W=%d: Stopped = %q, want %q", w, res.Stopped, StopCanceled)
-		}
-	}
-}
-
-// TestParallelOptionsFill pins the Parallelism defaulting rules the serving
-// layer's cache-key exclusion relies on.
-func TestParallelOptionsFill(t *testing.T) {
-	o := Options{}
-	o.Fill()
-	if o.Parallelism != 1 {
-		t.Errorf("zero Parallelism filled to %d, want 1 (sequential)", o.Parallelism)
-	}
-	o = Options{Parallelism: -1}
-	o.Fill()
-	if o.Parallelism < 1 {
-		t.Errorf("negative Parallelism filled to %d, want GOMAXPROCS", o.Parallelism)
-	}
-	for _, w := range []int{1, 2, 8} {
-		o = Options{Parallelism: w}
-		o.Fill()
-		if o.Parallelism != w {
-			t.Errorf("Parallelism %d changed to %d by Fill", w, o.Parallelism)
+		if got.res.Stopped != StopCanceled {
+			t.Errorf("search %d: Stopped = %q, want %q", i, got.res.Stopped, StopCanceled)
 		}
 	}
 }
 
 // TestParallelSearchManyOptionCombos sweeps K/KPrime interactions on Fig. 1
-// where the Theorem-4 cut fires at different depths, so the coordinator's
-// termination decisions are exercised at several frontier shapes.
+// where the Theorem-4 cut fires at different depths.
 func TestParallelSearchManyOptionCombos(t *testing.T) {
 	_, store, lat, exclude := pipeline(t, "Jerry Yang", "Yahoo!")
 	for _, k := range []int{1, 3, 10} {

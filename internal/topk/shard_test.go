@@ -2,7 +2,6 @@ package topk
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -112,21 +111,6 @@ func TestShardOracleKGSynth(t *testing.T) {
 			checkShardOracle(t, id, benchSt, benchLats[id],
 				[][]graph.NodeID{benchTups[id]}, Options{K: 25})
 		})
-	}
-}
-
-// TestShardOracleComposesWithParallelism crosses the two determinism knobs:
-// sharded rank under W-worker search must equal sharded rank under the
-// sequential search (the ownership filter runs on the single-threaded
-// coordinator either way).
-func TestShardOracleComposesWithParallelism(t *testing.T) {
-	_, store, lat, exclude := pipeline(t, "Jerry Yang", "Yahoo!")
-	for _, n := range shardSweep {
-		for i := 0; i < n; i++ {
-			name := fmt.Sprintf("shard%d-of-%d", i, n)
-			checkParallelOracle(t, name, store, lat, exclude,
-				Options{K: 10, ShardIndex: i, ShardCount: n})
-		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -37,20 +36,10 @@ type Options struct {
 	// MaxEvaluations caps evaluated lattice nodes as a safety valve;
 	// 0 means no cap.
 	MaxEvaluations int
-	// Parallelism is the number of concurrent lattice-node evaluators the
-	// search runs (0 or 1 is the sequential loop; negative selects
-	// GOMAXPROCS). The ranked answers, scores, tie-breaks, and every Result
-	// counter are bit-identical at any setting — parallelism is purely a
-	// latency/throughput knob (see parallel.go) — so it is excluded from
-	// result-cache keys. Each worker evaluates one lattice node at a time,
-	// each up to the MaxRows budget, so peak join memory scales with it.
-	Parallelism int
 	// Tracer, when non-nil, records a per-pop node-evaluation table and
 	// evaluator counters into the query's trace (see internal/obs). Purely
-	// observational: the Result is bit-identical with tracing on or off, at
-	// any Parallelism — evaluation durations are measured on the workers but
-	// recorded by the coordinator in pop order. Like Parallelism it must be
-	// excluded from result-cache keys.
+	// observational: the Result is bit-identical with tracing on or off, so
+	// it must be excluded from result-cache keys.
 	Tracer *obs.Tracer
 	// ShardIndex/ShardCount partition the ANSWER SPACE across a fleet of
 	// engines that each hold the full graph: a search with ShardCount > 1
@@ -63,8 +52,8 @@ type Options struct {
 	// merge of the per-shard top-k lists under (Score desc, tie-key asc)
 	// reconstructs the unsharded top-k bit for bit (oracle-tested in
 	// shard_test.go and internal/router). ShardCount <= 1 disables the
-	// filter. Like Parallelism, shard identity is a per-process deployment
-	// property, never a client knob, and is excluded from result-cache keys.
+	// filter. Shard identity is a per-process deployment property, never a
+	// client knob, and is excluded from result-cache keys.
 	ShardIndex int
 	ShardCount int
 }
@@ -84,12 +73,6 @@ func (o *Options) Fill() {
 	}
 	if o.MaxRows <= 0 {
 		o.MaxRows = exec.DefaultMaxRows
-	}
-	if o.Parallelism < 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.Parallelism == 0 {
-		o.Parallelism = 1
 	}
 }
 
@@ -117,6 +100,11 @@ const (
 	StopExhausted StopReason = "frontier-exhausted"
 	// StopProven: the Theorem-4 test proved the top-k is final.
 	StopProven StopReason = "topk-proven"
+	// StopRowBudget: the frontier emptied or the Theorem-4 test fired, but a
+	// lattice node skipped for exceeding the row budget could still hold a
+	// better answer than the k′-th best found, so the answers may differ
+	// from an unbudgeted search's.
+	StopRowBudget StopReason = "row-budget"
 	// StopMaxEvaluations: the MaxEvaluations safety valve fired.
 	StopMaxEvaluations StopReason = "max-evaluations"
 	// StopDeadline: the context's deadline expired mid-search; the Result is
@@ -141,7 +129,8 @@ type Result struct {
 	// Theorem-4 test fired before the frontier emptied.
 	Stopped StopReason
 	// RowBudgetSkips counts lattice nodes skipped because their join
-	// results exceeded the row budget.
+	// results exceeded the row budget. A skip that could hide a better
+	// answer sets Stopped to StopRowBudget.
 	RowBudgetSkips int
 	// NodesGenerated is the number of distinct lattice nodes ever admitted
 	// to the lower frontier (candidates the search considered).
@@ -247,13 +236,7 @@ func SearchCtx(ctx context.Context, store *storage.Store, lat *lattice.Lattice, 
 	for _, q := range lat.MinimalTrees() {
 		s.pushLF(q)
 	}
-	var res *Result
-	var err error
-	if opts.Parallelism > 1 {
-		res, err = s.runParallel(opts.Parallelism)
-	} else {
-		res, err = s.run(s.evaluateSequential)
-	}
+	res, err := s.run()
 	if tr := opts.Tracer; tr != nil {
 		evals, hits, inc, scr := ev.Counters()
 		tr.Attr("exec_evaluations", int64(evals))
@@ -264,10 +247,10 @@ func SearchCtx(ctx context.Context, store *storage.Store, lat *lattice.Lattice, 
 	return res, err
 }
 
-// evaluateSequential is the sequential search's evaluate hook: the
-// evaluator's Evaluate, timed only when tracing is on (the disabled-tracing
-// path must not pay for time.Now — see BenchmarkSearchTraced).
-func (s *searcher) evaluateSequential(q lattice.EdgeSet) (*exec.Rows, time.Duration, error) {
+// evaluate is the evaluator's Evaluate, timed only when tracing is on (the
+// disabled-tracing path must not pay for time.Now — see
+// BenchmarkSearchTraced).
+func (s *searcher) evaluate(q lattice.EdgeSet) (*exec.Rows, time.Duration, error) {
 	if s.tr == nil {
 		rows, err := s.ev.Evaluate(q)
 		return rows, 0, err
@@ -339,11 +322,12 @@ type searcher struct {
 	// it keeps the absorb/exclusion loops allocation-free.
 	tupleBuf []graph.NodeID
 
-	// consumed counts the lattice nodes the control loop consumed, in pop
-	// order — the sequential search's evaluation count. The parallel search
-	// reports this too (not the evaluator's counter, which includes wasted
-	// speculation), keeping Result identical at any Parallelism.
+	// consumed counts the lattice nodes the control loop evaluated.
 	consumed int
+	// skipBound is the largest U(Q) popped with a node the row budget
+	// skipped. The upper frontier only shrinks, so it bounds the structure
+	// score of every ancestor of every skipped node.
+	skipBound float64
 
 	// kth-best cache for the Theorem-4 test.
 	kthDirty bool
@@ -351,9 +335,7 @@ type searcher struct {
 	kthHave  bool
 
 	nullCount int
-	// generated/prunedCount mirror Result.NodesGenerated/NodesPruned; both
-	// are maintained only by the single-threaded control loop, so they stay
-	// deterministic at any Parallelism.
+	// generated/prunedCount mirror Result.NodesGenerated/NodesPruned.
 	generated   int
 	prunedCount int
 }
@@ -447,18 +429,12 @@ func (s *searcher) kthBestSScore() (float64, bool) {
 	return s.kthVal, true
 }
 
-// run is the Alg. 2 control loop. evaluate supplies a lattice node's rows
-// plus its measured evaluation time (zero when tracing is off): the
-// sequential search passes a thin wrapper over the evaluator's Evaluate, the
-// parallel search passes an obtain function that consumes speculative worker
-// results in this loop's pop order (see parallel.go). Everything that makes
-// the search adaptive — pruning, upper-frontier recomputation, the Theorem-4
-// test — lives here and runs single-threaded either way, which is why the
-// two modes return bit-identical Results.
+// run is the Alg. 2 control loop: pop the most promising candidate, evaluate
+// it, then prune, recompute the upper frontier, or absorb its answers.
 //
 // Cancellation mid-loop returns the finalized partial Result (Stopped =
 // StopDeadline/StopCanceled) together with the wrapped context error.
-func (s *searcher) run(evaluate func(lattice.EdgeSet) (*exec.Rows, time.Duration, error)) (*Result, error) {
+func (s *searcher) run() (*Result, error) {
 	res := &Result{Stopped: StopExhausted}
 	for {
 		if err := s.ctx.Err(); err != nil {
@@ -484,7 +460,7 @@ func (s *searcher) run(evaluate func(lattice.EdgeSet) (*exec.Rows, time.Duration
 		}
 		s.done[qbest] = true
 		s.consumed++
-		rows, dur, err := evaluate(qbest)
+		rows, dur, err := s.evaluate(qbest)
 		if err != nil {
 			if errors.Is(err, exec.ErrTooManyRows) {
 				// Join blow-up on this query graph (the paper's F4/F19
@@ -493,6 +469,7 @@ func (s *searcher) run(evaluate func(lattice.EdgeSet) (*exec.Rows, time.Duration
 				// they are not pruned, but they will only be reached
 				// through other children.
 				res.RowBudgetSkips++
+				s.skipBound = max(s.skipBound, ub)
 				s.recordEval(qbest, ub, 0, false, true, dur)
 				continue
 			}
@@ -524,14 +501,18 @@ func (s *searcher) run(evaluate func(lattice.EdgeSet) (*exec.Rows, time.Duration
 			}
 		}
 	}
+	if res.Stopped != StopMaxEvaluations && res.RowBudgetSkips > 0 {
+		// Theorem 4's argument does not cover the skipped nodes' ancestors
+		// unless the k′-th best tuple already scores at least skipBound.
+		if kth, have := s.kthBestSScore(); !have || s.skipBound > kth {
+			res.Stopped = StopRowBudget
+		}
+	}
 	return s.finalize(res), nil
 }
 
 // finalize fills the Result's counters and ranked answers from the
-// searcher's state. NodesEvaluated is the coordinator's own consumption
-// counter, not ev.Evaluated(): under parallel speculation the evaluator also
-// counts wasted evaluations, while consumed is exactly the sequential loop's
-// pop count.
+// searcher's state.
 func (s *searcher) finalize(res *Result) *Result {
 	res.NodesEvaluated = s.consumed
 	res.NullNodes = s.nullCount

@@ -313,3 +313,44 @@ func TestStage2UsesFullScore(t *testing.T) {
 	_ = scoring.Scorer{}
 	_ = sort.Float64Slice{}
 }
+
+// TestRowBudgetStopReason: a search whose row-budget skips leave Theorem 4's
+// argument open must say so instead of claiming a complete search. Both
+// cases skipped nodes whose ancestors could beat the answers returned.
+func TestRowBudgetStopReason(t *testing.T) {
+	t.Run("fig1", func(t *testing.T) {
+		_, store, lat, exclude := pipeline(t, "Jerry Yang", "Yahoo!")
+		opts := Options{K: 1}
+		exact, err := SearchCtx(context.Background(), store, lat, exclude, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.MaxRows = 8
+		res, err := SearchCtx(context.Background(), store, lat, exclude, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stopped != StopRowBudget || res.RowBudgetSkips != 15 || res.NodesEvaluated != 28 {
+			t.Errorf("Stopped = %q after %d skips in %d evaluations, want %q after 15 in 28",
+				res.Stopped, res.RowBudgetSkips, res.NodesEvaluated, StopRowBudget)
+		}
+		if len(res.Answers) != 1 || len(exact.Answers) != 1 || res.Answers[0].Score >= exact.Answers[0].Score {
+			t.Errorf("budgeted top answer %+v should score below the unbudgeted %+v", res.Answers, exact.Answers)
+		}
+	})
+	t.Run("kgsynth-F18", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("kgsynth graph build in -short mode")
+		}
+		kgFixture()
+		res, err := SearchCtx(context.Background(), benchSt, benchLats["F18"],
+			[][]graph.NodeID{benchTups["F18"]}, Options{K: 10, MaxRows: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stopped != StopRowBudget || res.RowBudgetSkips != 1 || res.NodesEvaluated != 1 || len(res.Answers) != 0 {
+			t.Errorf("Stopped = %q, %d skips, %d evaluations, %d answers; want %q, 1, 1, 0",
+				res.Stopped, res.RowBudgetSkips, res.NodesEvaluated, len(res.Answers), StopRowBudget)
+		}
+	})
+}

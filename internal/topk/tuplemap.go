@@ -32,7 +32,7 @@ func tupleEq(a, b []graph.NodeID) bool { return slices.Equal(a, b) }
 // it keeps the candidates in insertion order: absorption order is the
 // deterministic pop-then-row order of the search, so iterating the slice
 // (rather than the buckets map, whose order varies run to run) keeps every
-// consumer of each() bit-identical across runs and worker counts.
+// consumer of each() bit-identical across runs.
 type tupleMap struct {
 	buckets map[uint64][]*candidate
 	all     []*candidate // insertion order
