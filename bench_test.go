@@ -4,7 +4,8 @@ package gqbe
 // paper's evaluation section (§VI), plus micro-benchmarks for the pipeline
 // stages. Each experiment bench re-runs the full driver per iteration (the
 // suite's memoization is reset), so `go test -bench=.` regenerates every
-// reported artifact; EXPERIMENTS.md records the paper-vs-measured shapes.
+// reported artifact; the internal/experiments package doc gives each
+// experiment's protocol.
 
 import (
 	"context"

@@ -45,7 +45,7 @@ import (
 
 // benchLine is one parsed benchmark result.
 type benchLine struct {
-	Name string // e.g. "StoreBuildSharded/shards=8" (Benchmark prefix and -P suffix stripped)
+	Name string // e.g. "ServerLoad/poisson" (Benchmark prefix and -P suffix stripped)
 	NsOp float64
 }
 

@@ -11,7 +11,7 @@ const sampleBench = `goos: linux
 goarch: amd64
 pkg: gqbe/internal/storage
 BenchmarkStoreBuild-8             	     442	   2567583 ns/op	 1564225 B/op	    5278 allocs/op
-BenchmarkStoreBuildSharded/shards=8-8 	     100	   1200000 ns/op
+BenchmarkServerLoad/poisson-8      	     100	   1200000 ns/op
 BenchmarkStoreProbe             	    1604	    662160 ns/op	       0 B/op	       0 allocs/op
 BenchmarkSnapshotLoad            	     500	   1000000 ns/op	 123 MB/s
 PASS
@@ -40,10 +40,10 @@ func TestParseBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]float64{
-		"StoreBuild":                 2567583,
-		"StoreBuildSharded/shards=8": 1200000,
-		"StoreProbe":                 662160, // no -P suffix (GOMAXPROCS=1)
-		"SnapshotLoad":               1000000,
+		"StoreBuild":         2567583,
+		"ServerLoad/poisson": 1200000,
+		"StoreProbe":         662160, // no -P suffix (GOMAXPROCS=1)
+		"SnapshotLoad":       1000000,
 	}
 	if len(lines) != len(want) {
 		t.Fatalf("parsed %d lines, want %d: %+v", len(lines), len(want), lines)
@@ -94,14 +94,14 @@ func TestLoadBaselineAndReport(t *testing.T) {
 	regressions := report(&buf, lines, baseline, 1.30)
 	out := buf.String()
 	// StoreProbe is 662160 vs 400000 baseline (+65%) → flagged; SnapshotLoad
-	// is +11% → not flagged; StoreBuildSharded has no baseline → "new".
+	// is +11% → not flagged; ServerLoad/poisson has no baseline → "new".
 	if regressions != 1 {
 		t.Errorf("regressions = %d, want 1\n%s", regressions, out)
 	}
 	if !strings.Contains(out, "⚠ regression") {
 		t.Errorf("report misses the regression flag:\n%s", out)
 	}
-	if !strings.Contains(out, "| StoreBuildSharded/shards=8 | — | 1200000 | — | new |") {
+	if !strings.Contains(out, "| ServerLoad/poisson | — | 1200000 | — | new |") {
 		t.Errorf("report misses the new-bench row:\n%s", out)
 	}
 	if !strings.Contains(out, "+0.0%") {

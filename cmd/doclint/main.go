@@ -1,4 +1,4 @@
-// Command doclint is the CI documentation gate. It has two checks:
+// Command doclint is the CI documentation gate. It has three checks:
 //
 //   - exported-symbol docs: every exported const, var, func, type, and
 //     method in the given packages must carry a doc comment, and the
@@ -7,11 +7,14 @@
 //     pulling in a linter dependency);
 //   - doc links: every relative markdown link in the given files and
 //     directories must resolve to an existing file, so docs/ cannot rot
-//     silently as the tree moves.
+//     silently as the tree moves;
+//   - comment citations: every *.md file a Go comment under the -comments
+//     root names must exist, relative to that root or its docs/ directory,
+//     so code cannot point readers at documents that were never written.
 //
 // Usage:
 //
-//	doclint -pkg . -links README.md,docs
+//	doclint -pkg . -links README.md,docs -comments .
 //
 // Exit status is non-zero if any finding is reported; each finding is one
 // line on stderr.
@@ -23,6 +26,7 @@ import (
 	"go/ast"
 	"go/doc"
 	"go/parser"
+	"go/scanner"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -33,6 +37,7 @@ import (
 func main() {
 	pkgs := flag.String("pkg", "", "comma-separated package directories whose exported symbols must be documented")
 	links := flag.String("links", "", "comma-separated markdown files or directories whose relative links must resolve")
+	comments := flag.String("comments", "", "repository root whose Go comments may cite only *.md files that exist under it or its docs/")
 	flag.Parse()
 
 	var findings []string
@@ -45,6 +50,13 @@ func main() {
 	}
 	for _, path := range splitList(*links) {
 		fs, err := lintLinks(path)
+		if err != nil {
+			fatalf("doclint: %v", err)
+		}
+		findings = append(findings, fs...)
+	}
+	if *comments != "" {
+		fs, err := lintCommentCitations(*comments)
 		if err != nil {
 			fatalf("doclint: %v", err)
 		}
@@ -215,4 +227,67 @@ func lintFileLinks(file string) ([]string, error) {
 		}
 	}
 	return findings, nil
+}
+
+// mdCitation matches a markdown file named in prose: a bare name such as
+// OPERATIONS.md or a slash path such as docs/OPERATIONS.md.
+var mdCitation = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// lintCommentCitations reports every *.md file cited in a Go comment under
+// root that exists neither relative to root nor under root/docs. Hidden and
+// testdata directories are skipped, and so are URLs.
+func lintCommentCitations(root string) ([]string, error) {
+	var findings []string
+	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		fset := token.NewFileSet()
+		var sc scanner.Scanner
+		sc.Init(fset.AddFile(p, -1, len(src)), src, nil, scanner.ScanComments)
+		for {
+			pos, tok, lit := sc.Scan()
+			if tok == token.EOF {
+				return nil
+			}
+			if tok != token.COMMENT {
+				continue
+			}
+			for _, m := range mdCitation.FindAllStringIndex(lit, -1) {
+				name := lit[m[0]:m[1]]
+				if m[0] > 0 && lit[m[0]-1] == ':' {
+					continue // the path part of a URL
+				}
+				if !mdExists(root, name) {
+					findings = append(findings, fmt.Sprintf("%s: comment cites missing %s",
+						fset.Position(pos+token.Pos(m[0])), name))
+				}
+			}
+		}
+	})
+	return findings, err
+}
+
+// mdExists reports whether a cited markdown file resolves from the
+// repository root or its docs/ directory.
+func mdExists(root, name string) bool {
+	for _, dir := range []string{root, filepath.Join(root, "docs")} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			return true
+		}
+	}
+	return false
 }

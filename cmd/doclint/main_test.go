@@ -93,3 +93,31 @@ func TestLintLinks(t *testing.T) {
 		t.Errorf("findings = %v, want exactly 3 dead links", findings)
 	}
 }
+
+func TestLintCommentCitations(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, "README.md"), "# r\n")
+	write(t, filepath.Join(dir, "docs", "OPS.md"), "# o\n")
+	write(t, filepath.Join(dir, "pkg", "x.go"), `// Package x: see README.md, OPS.md, docs/OPS.md and
+// https://example.com/FAR.md, but not GONE.md.
+package x
+
+/* A block comment citing docs/ALSO-GONE.md. */
+
+const s = "a string naming NOTACOMMENT.md is not prose"
+`)
+	write(t, filepath.Join(dir, "pkg", "testdata", "y.go"), "// IGNORED.md\npackage y\n")
+	findings, err := lintCommentCitations(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := strings.Join(findings, "\n")
+	for _, want := range []string{"x.go:2:", "GONE.md", "docs/ALSO-GONE.md"} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("missing %s in findings:\n%s", want, joined)
+		}
+	}
+	if len(findings) != 2 {
+		t.Errorf("findings = %v, want exactly the 2 missing citations", findings)
+	}
+}

@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation section (§VI) over the synthetic datasets and prints them in
-// paper order. See EXPERIMENTS.md for the recorded paper-vs-measured
-// comparison.
+// paper order. The internal/experiments package doc gives the protocol each
+// table follows.
 //
 // Usage:
 //

@@ -5,17 +5,17 @@
 // Usage:
 //
 //	gqbed -graph kg.tsv [-addr :8080] [-max-concurrent 8] [-cache-entries 1024]
-//	      [-build-shards 0] [-snapshot kg.snap] [-snapshot-write] [-snapshot-mmap]
+//	      [-snapshot kg.snap] [-snapshot-write] [-snapshot-mmap]
 //	      [-trace] [-slow-query-ms 0]
 //
 // The complete flag reference and the /statz field glossary live in
 // docs/OPERATIONS.md.
 //
 // Startup: with -snapshot pointing at an existing file, the daemon restores
-// the preprocessed engine from the binary snapshot (large sequential reads,
-// no triple parsing or index construction); otherwise it parses -graph and
-// builds the store across -build-shards workers (0 = GOMAXPROCS), and with
-// -snapshot-write also saves the result to -snapshot for the next restart.
+// the preprocessed engine from the binary snapshot (one sequential read, no
+// triple parsing or index construction); otherwise it parses -graph and
+// builds the store, and with -snapshot-write also saves the result to
+// -snapshot for the next restart.
 // -snapshot-mmap opens the snapshot memory-mapped zero-copy instead: the
 // engine's columns borrow the mapping, startup is O(sections), and the data
 // pages are shared with the OS page cache across processes; /statz reports
@@ -85,7 +85,6 @@ func main() {
 		trace         = flag.Bool("trace", false, "trace every query (span tree + node evaluations) and log each at debug level; answers are unchanged")
 		slowQueryMS   = flag.Int("slow-query-ms", 0, "log a structured slow-query record (full span breakdown) for requests slower than this many milliseconds; 0 disables")
 
-		buildShards   = flag.Int("build-shards", 0, "concurrent workers for the offline store build (0 = GOMAXPROCS, 1 = sequential)")
 		shardIndex    = flag.Int("shard-index", 0, "this daemon's answer-space shard index in a fleet of -shard-count (see cmd/kgshard; auto-adopted from shard snapshots)")
 		shardCount    = flag.Int("shard-count", 0, "fleet shard count; 0/1 = unsharded. Each shard runs the full search and keeps only the answers it owns; a gqberouter in front merges them bit-identically")
 		snapshotPath  = flag.String("snapshot", "", "binary engine snapshot path: loaded instead of -graph when it exists")
@@ -122,7 +121,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	eng, err := loadEngine(*graphPath, *snapshotPath, *buildShards, *snapshotWrite, *snapshotMmap)
+	eng, err := loadEngine(*graphPath, *snapshotPath, *snapshotWrite, *snapshotMmap)
 	if err != nil {
 		log.Fatalf("gqbed: %v", err)
 	}
@@ -131,7 +130,7 @@ func main() {
 		log.Fatalf("gqbed: %v", err)
 	}
 	info := eng.BuildInfo()
-	how := fmt.Sprintf("built (%d shards)", info.Shards)
+	how := "built"
 	if info.FromSnapshot {
 		how = "snapshot-loaded"
 	}
@@ -171,7 +170,7 @@ func main() {
 		// without a restart. A corrupt candidate is rejected by the loader
 		// and the serving engine stays untouched.
 		Reload: func() (*gqbe.Engine, error) {
-			e, err := loadEngine(*graphPath, *snapshotPath, *buildShards, false, *snapshotMmap)
+			e, err := loadEngine(*graphPath, *snapshotPath, false, *snapshotMmap)
 			if err != nil {
 				return nil, err
 			}
@@ -283,15 +282,15 @@ func applyShard(eng *gqbe.Engine, index, count int) (*gqbe.Engine, error) {
 }
 
 // loadEngine resolves the startup path: an existing snapshot wins; otherwise
-// the graph is parsed and the store built across buildShards workers, with
-// the result optionally snapshotted for the next restart. A corrupt or
-// version-skewed snapshot falls back to the graph build (and, with
-// -snapshot-write, replaces the bad file) instead of refusing to start.
+// the graph is parsed and the store built, with the result optionally
+// snapshotted for the next restart. A corrupt or version-skewed snapshot
+// falls back to the graph build (and, with -snapshot-write, replaces the
+// bad file) instead of refusing to start.
 // With mmapOpen the snapshot is memory-mapped zero-copy first; a map
 // failure (unsupported platform, injected fault) degrades to the heap
 // loader before the graph rebuild, so the flag can never make a startable
 // daemon unstartable.
-func loadEngine(graphPath, snapshotPath string, buildShards int, snapshotWrite, mmapOpen bool) (*gqbe.Engine, error) {
+func loadEngine(graphPath, snapshotPath string, snapshotWrite, mmapOpen bool) (*gqbe.Engine, error) {
 	if snapshotPath != "" {
 		if _, err := os.Stat(snapshotPath); err == nil {
 			if mmapOpen {
@@ -320,7 +319,7 @@ func loadEngine(graphPath, snapshotPath string, buildShards int, snapshotWrite, 
 		}
 	}
 	log.Printf("gqbed: loading %s", graphPath)
-	eng, err := gqbe.LoadFileSharded(graphPath, buildShards)
+	eng, err := gqbe.LoadFile(graphPath)
 	if err != nil {
 		return nil, err
 	}

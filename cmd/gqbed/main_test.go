@@ -31,11 +31,11 @@ func TestLoadEngineSnapshotRoundTrip(t *testing.T) {
 	graph := writeGraphTSV(t, dir)
 	snap := filepath.Join(dir, "kg.snap")
 
-	built, err := loadEngine(graph, snap, 1, true, false)
+	built, err := loadEngine(graph, snap, true, false)
 	if err != nil {
 		t.Fatalf("build+snapshot load: %v", err)
 	}
-	restored, err := loadEngine("", snap, 1, false, false)
+	restored, err := loadEngine("", snap, false, false)
 	if err != nil {
 		t.Fatalf("snapshot-only load: %v", err)
 	}
@@ -56,7 +56,7 @@ func TestLoadEngineCorruptSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	graph := writeGraphTSV(t, dir)
 	snap := filepath.Join(dir, "kg.snap")
-	built, err := loadEngine(graph, snap, 1, true, false)
+	built, err := loadEngine(graph, snap, true, false)
 	if err != nil {
 		t.Fatalf("build+snapshot load: %v", err)
 	}
@@ -70,7 +70,7 @@ func TestLoadEngineCorruptSnapshotFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng, err := loadEngine(graph, snap, 1, false, false)
+	eng, err := loadEngine(graph, snap, false, false)
 	if err != nil {
 		t.Fatalf("corrupt snapshot with graph fallback: %v", err)
 	}
@@ -82,7 +82,7 @@ func TestLoadEngineCorruptSnapshotFallsBack(t *testing.T) {
 			eng.NumEntities(), eng.NumFacts(), built.NumEntities(), built.NumFacts())
 	}
 
-	if _, err := loadEngine("", snap, 1, false, false); err == nil {
+	if _, err := loadEngine("", snap, false, false); err == nil {
 		t.Error("corrupt snapshot with no graph fallback loaded successfully")
 	}
 }
@@ -95,7 +95,7 @@ func TestLoadEngineInjectedSnapshotFaultFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	graph := writeGraphTSV(t, dir)
 	snap := filepath.Join(dir, "kg.snap")
-	built, err := loadEngine(graph, snap, 1, true, false)
+	built, err := loadEngine(graph, snap, true, false)
 	if err != nil {
 		t.Fatalf("build+snapshot load: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestLoadEngineInjectedSnapshotFaultFallsBack(t *testing.T) {
 	// failure lands mid-load; Limit=1 keeps the graph rebuild clean.
 	fault.Enable(fault.Config{fault.SnapioReadErr: {Every: 1, After: 3, Limit: 1}})
 	defer fault.Disable()
-	eng, err := loadEngine(graph, snap, 1, false, false)
+	eng, err := loadEngine(graph, snap, false, false)
 	if err != nil {
 		t.Fatalf("injected snapshot fault with graph fallback: %v", err)
 	}

@@ -16,9 +16,9 @@
 // (score desc, tie asc) merge reconstructs it bit for bit — the property the
 // oracle suites in internal/topk and internal/router pin.
 //
-// Output is deterministic: the same input at any -build-shards setting
-// yields byte-identical shard snapshots and manifest, so fleets can be
-// rebuilt and diffed.
+// Output is deterministic: the same input, cut from -graph or from its
+// -snapshot, yields byte-identical shard snapshots and manifest, so fleets
+// can be rebuilt and diffed.
 package main
 
 import (
@@ -38,17 +38,16 @@ func main() {
 		snapshotPath = flag.String("snapshot", "", "existing engine snapshot to partition instead of -graph")
 		shards       = flag.Int("shards", 0, "number of shards to cut (required, >= 1)")
 		outDir       = flag.String("out", "", "output directory for shard snapshots and fleet.json (required)")
-		buildShards  = flag.Int("build-shards", 0, "concurrent workers for the offline store build (0 = GOMAXPROCS, 1 = sequential); output bytes are identical at any setting")
 	)
 	flag.Parse()
-	if err := run(*graphPath, *snapshotPath, *shards, *outDir, *buildShards); err != nil {
+	if err := run(*graphPath, *snapshotPath, *shards, *outDir); err != nil {
 		fmt.Fprintf(os.Stderr, "kgshard: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 // run cuts the fleet; factored out of main for the golden tests.
-func run(graphPath, snapshotPath string, shards int, outDir string, buildShards int) error {
+func run(graphPath, snapshotPath string, shards int, outDir string) error {
 	if shards < 1 {
 		return fmt.Errorf("-shards must be >= 1 (got %d)", shards)
 	}
@@ -68,7 +67,7 @@ func run(graphPath, snapshotPath string, shards int, outDir string, buildShards 
 	if snapshotPath != "" {
 		eng, err = gqbe.LoadSnapshotFile(snapshotPath)
 	} else {
-		eng, err = gqbe.LoadFileSharded(graphPath, buildShards)
+		eng, err = gqbe.LoadFile(graphPath)
 	}
 	if err != nil {
 		return err

@@ -39,30 +39,26 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-// TestKGShardGolden extends the PR 4 byte-comparison oracle to the fleet
-// cut: partitioning the same input twice — and at 1/2/8 build workers —
-// yields byte-identical shard snapshots and manifest.
+// TestKGShardGolden: partitioning the same input twice yields
+// byte-identical shard snapshots and manifest.
 func TestKGShardGolden(t *testing.T) {
 	graph := writeTestGraph(t)
 	base := t.TempDir()
-	if err := run(graph, "", 2, filepath.Join(base, "a"), 1); err != nil {
+	if err := run(graph, "", 2, filepath.Join(base, "a")); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	want := readDir(t, filepath.Join(base, "a"))
 	if len(want) != 3 { // shard-0.snap, shard-1.snap, fleet.json
 		t.Fatalf("fleet dir has %d files, want 3: %v", len(want), want)
 	}
-	for i, dir := range []string{"again", "bs2", "bs8"} {
-		bs := []int{1, 2, 8}[i]
-		out := filepath.Join(base, dir)
-		if err := run(graph, "", 2, out, bs); err != nil {
-			t.Fatalf("run(build-shards=%d): %v", bs, err)
-		}
-		got := readDir(t, out)
-		for name, data := range want {
-			if !bytes.Equal(got[name], data) {
-				t.Errorf("build-shards=%d: %s differs from baseline", bs, name)
-			}
+	out := filepath.Join(base, "again")
+	if err := run(graph, "", 2, out); err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	got := readDir(t, out)
+	for name, data := range want {
+		if !bytes.Equal(got[name], data) {
+			t.Errorf("%s differs between two cuts of the same input", name)
 		}
 	}
 }
@@ -72,7 +68,7 @@ func TestKGShardGolden(t *testing.T) {
 func TestKGShardOutputsLoad(t *testing.T) {
 	graph := writeTestGraph(t)
 	out := t.TempDir()
-	if err := run(graph, "", 2, out, 1); err != nil {
+	if err := run(graph, "", 2, out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	m, err := fleet.Load(filepath.Join(out, "fleet.json"))
@@ -102,7 +98,7 @@ func TestKGShardOutputsLoad(t *testing.T) {
 func TestKGShardSingleShard(t *testing.T) {
 	graph := writeTestGraph(t)
 	out := t.TempDir()
-	if err := run(graph, "", 1, out, 1); err != nil {
+	if err := run(graph, "", 1, out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	eng, err := gqbe.LoadSnapshotFile(filepath.Join(out, "shard-0.snap"))
@@ -128,10 +124,10 @@ func TestKGShardFromSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	fromGraph, fromSnap := filepath.Join(base, "g"), filepath.Join(base, "s")
-	if err := run(graph, "", 2, fromGraph, 1); err != nil {
+	if err := run(graph, "", 2, fromGraph); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", snap, 2, fromSnap, 1); err != nil {
+	if err := run("", snap, 2, fromSnap); err != nil {
 		t.Fatal(err)
 	}
 	want, got := readDir(t, fromGraph), readDir(t, fromSnap)
@@ -144,16 +140,16 @@ func TestKGShardFromSnapshot(t *testing.T) {
 
 func TestKGShardFlagValidation(t *testing.T) {
 	out := t.TempDir()
-	if err := run("", "", 2, out, 1); err == nil {
+	if err := run("", "", 2, out); err == nil {
 		t.Error("run with neither input accepted")
 	}
-	if err := run("a.tsv", "b.snap", 2, out, 1); err == nil {
+	if err := run("a.tsv", "b.snap", 2, out); err == nil {
 		t.Error("run with both inputs accepted")
 	}
-	if err := run("a.tsv", "", 0, out, 1); err == nil {
+	if err := run("a.tsv", "", 0, out); err == nil {
 		t.Error("run with zero shards accepted")
 	}
-	if err := run("a.tsv", "", 2, "", 1); err == nil {
+	if err := run("a.tsv", "", 2, ""); err == nil {
 		t.Error("run with no out dir accepted")
 	}
 }

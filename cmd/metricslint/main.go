@@ -89,8 +89,9 @@ var knownTypes = map[string]bool{
 	"counter": true, "gauge": true, "histogram": true, "summary": true, "untyped": true,
 }
 
-// gqbeRequiredFamilies are the degraded-service metric families gqbed's
-// /metrics contractually exposes; the CI gate fails if any disappears.
+// gqbeRequiredFamilies are the degraded-service and search-disposition
+// metric families gqbed's /metrics contractually exposes; the CI gate fails
+// if any disappears.
 var gqbeRequiredFamilies = []string{
 	"gqbe_faults_injected_total",
 	"gqbe_recovered_panics_total",
@@ -98,6 +99,7 @@ var gqbeRequiredFamilies = []string{
 	"gqbe_reloads_total",
 	"gqbe_brownouts_total",
 	"gqbe_engine_generation",
+	"gqbe_search_stopped_total",
 }
 
 // routerRequiredFamilies are the fleet-health families gqberouter's /metrics

@@ -124,6 +124,9 @@ gqbe_reloads_total{outcome="rejected"} 1
 gqbe_brownouts_total 4
 # TYPE gqbe_engine_generation gauge
 gqbe_engine_generation 4
+# TYPE gqbe_search_stopped_total counter
+gqbe_search_stopped_total{reason="topk-proven"} 5
+gqbe_search_stopped_total{reason="row-budget"} 1
 `
 
 func TestLintMetricsRequiredFamilies(t *testing.T) {

@@ -9,9 +9,9 @@
 // TSV knowledge graphs use the loaders instead — gqbe.LoadFile, or at
 // multi-GB scale the fast-startup pair from docs/ARCHITECTURE.md:
 //
-//	eng, _ := gqbe.LoadFileSharded("kg.tsv", 0) // build across all cores
+//	eng, _ := gqbe.LoadFile("kg.tsv")           // parse + build once
 //	_ = eng.WriteSnapshotFile("kg.snap")        // …then restart via
-//	eng, _ = gqbe.LoadSnapshotFile("kg.snap")   // no parse, no indexing
+//	eng, _ = gqbe.OpenSnapshotMapped("kg.snap") // no parse, no indexing
 package main
 
 import (

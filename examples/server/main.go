@@ -35,13 +35,13 @@
 //	curl -s localhost:8080/statz
 //
 // For a standalone daemon over a TSV graph file, use cmd/gqbed instead.
-// The production startup path builds the store across all cores on the
-// first start and writes a binary snapshot, so every restart skips parsing
-// and index construction entirely:
+// The production startup path builds the store on the first start and
+// writes a binary snapshot, so every restart skips parsing and index
+// construction entirely:
 //
 //	go run ./cmd/kggen -dataset freebase -out /tmp/freebase.tsv
 //	go run ./cmd/gqbed -graph /tmp/freebase.tsv -addr :8080 \
-//	    -build-shards 0 -snapshot /tmp/freebase.snap -snapshot-write
+//	    -snapshot /tmp/freebase.snap -snapshot-write
 //
 // On restart the existing snapshot wins over -graph (a corrupt one falls
 // back to rebuilding). The full flag reference is docs/OPERATIONS.md.

@@ -183,28 +183,17 @@ func Load(r io.Reader) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gqbe: %w", err)
 	}
-	return fromGraphTimed(g, 1, start)
+	return fromGraphTimed(g, start)
 }
 
 // LoadFile is Load over a file path.
 func LoadFile(path string) (*Engine, error) {
-	return LoadFileSharded(path, 1)
-}
-
-// LoadFileSharded is LoadFile with the offline store construction spread
-// across `shards` concurrent workers (0 or negative selects GOMAXPROCS, 1
-// builds sequentially). The resulting engine is bit-identical to LoadFile's
-// regardless of the shard count; only the build time changes.
-func LoadFileSharded(path string, shards int) (*Engine, error) {
-	if shards <= 0 {
-		shards = -1 // core.BuildOptions: negative selects GOMAXPROCS
-	}
 	start := time.Now()
 	g, err := triples.LoadGraphFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("gqbe: %w", err)
 	}
-	return fromGraphTimed(g, shards, start)
+	return fromGraphTimed(g, start)
 }
 
 // LoadSnapshotFile restores a preprocessed engine from a binary snapshot
@@ -297,9 +286,6 @@ type BuildInfo struct {
 	// BuildTime is the wall time of preprocessing (for snapshot engines,
 	// the snapshot load).
 	BuildTime time.Duration
-	// Shards is the worker count the store was built with (1 for
-	// sequential builds and snapshot loads).
-	Shards int
 	// FromSnapshot reports whether the engine was restored from a binary
 	// snapshot rather than built from triples.
 	FromSnapshot bool
@@ -315,7 +301,6 @@ func (e *Engine) BuildInfo() BuildInfo {
 	info := e.eng.Info()
 	return BuildInfo{
 		BuildTime:    info.Duration,
-		Shards:       info.Shards,
 		FromSnapshot: info.FromSnapshot,
 		Mapped:       info.Mapped,
 		MappedBytes:  info.MappedBytes,
@@ -351,27 +336,20 @@ func (b *Builder) Build() (*Engine, error) {
 	b.done = true
 	start := time.Now()
 	b.g.SortAdjacency()
-	return fromGraphTimed(b.g, 1, start)
+	return fromGraphTimed(b.g, start)
 }
 
-func fromGraph(g *graph.Graph, shards int) (*Engine, error) {
+// fromGraphTimed preprocesses g with the recorded build time widened to
+// start at `start` — the loaders pass their pre-parse timestamp so
+// BuildTime covers parse + intern + sort + build, staying comparable with
+// snapshot loads (which time everything they do).
+func fromGraphTimed(g *graph.Graph, start time.Time) (*Engine, error) {
 	if g.NumEdges() == 0 {
 		return nil, errors.New("gqbe: empty knowledge graph")
 	}
-	return &Engine{eng: core.NewEngineOpts(g, core.BuildOptions{Shards: shards})}, nil
-}
-
-// fromGraphTimed is fromGraph with the recorded build time widened to start
-// at `start` — the loaders pass their pre-parse timestamp so BuildTime
-// covers parse + intern + sort + build, staying comparable with snapshot
-// loads (which time everything they do).
-func fromGraphTimed(g *graph.Graph, shards int, start time.Time) (*Engine, error) {
-	e, err := fromGraph(g, shards)
-	if err != nil {
-		return nil, err
-	}
-	e.eng.SetBuildDuration(time.Since(start))
-	return e, nil
+	eng := core.NewEngine(g)
+	eng.SetBuildDuration(time.Since(start))
+	return &Engine{eng: eng}, nil
 }
 
 // NumEntities returns the number of entity nodes in the graph.

@@ -12,11 +12,11 @@ import (
 )
 
 // Startup-path benchmarks: BENCH_engine.json records ParseBuild (the cold
-// TSV parse + sequential store build a bare daemon start pays) against
-// SnapshotLoad (the binary snapshot restore path) and the sharded builds in
-// internal/storage. The fixture is the repo's standard kgsynth Freebase
-// graph, rendered once to an in-memory TSV and snapshot so every iteration
-// measures pure load work.
+// TSV parse + store build a bare daemon start pays) against SnapshotLoad
+// (the heap snapshot restore path) and SnapshotLoadMapped (the zero-copy
+// one). The fixture is the repo's standard kgsynth Freebase graph, rendered
+// once to an in-memory TSV and snapshot so every iteration measures pure
+// load work.
 var (
 	startupOnce sync.Once
 	startupTSV  []byte
@@ -63,7 +63,8 @@ func BenchmarkParseBuild(b *testing.B) {
 }
 
 // BenchmarkSnapshotLoad is the warm startup path: the same engine restored
-// from its binary snapshot, skipping parsing, sorting, and indexing.
+// from its binary snapshot onto the heap, skipping parsing, sorting, and
+// indexing.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	_, snap := startupFixture(b)
 	b.SetBytes(int64(len(snap)))

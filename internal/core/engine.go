@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -103,26 +102,15 @@ type Result struct {
 	Stats   Stats
 }
 
-// BuildOptions tunes the offline preprocessing phase.
-type BuildOptions struct {
-	// Shards is the number of concurrent workers partitioning and indexing
-	// the store (and any other shardable build passes). 0 or 1 builds
-	// sequentially; negative selects GOMAXPROCS.
-	Shards int
-}
-
 // BuildInfo reports how an engine's offline phase ran — surfaced on the
 // daemon's /statz so operators can see whether a restart paid for a full
 // parse+build or a snapshot load.
 type BuildInfo struct {
-	// Duration is the wall time of the whole offline phase. NewEngineOpts
+	// Duration is the wall time of the whole offline phase. NewEngine
 	// records store+stats construction; loaders that also parse input
 	// (gqbe.LoadFile) extend it via SetBuildDuration so the number stays
 	// comparable with snapshot loads, which time everything.
 	Duration time.Duration
-	// Shards is the worker count the store was built with (1 when loaded
-	// from a snapshot — no partitioning ran).
-	Shards int
 	// FromSnapshot reports whether the engine came from a binary snapshot
 	// instead of parsing triples and building indexes.
 	FromSnapshot bool
@@ -156,34 +144,13 @@ type Engine struct {
 	shardCount int
 }
 
-// NewEngine preprocesses g sequentially.
+// NewEngine preprocesses g: it builds the vertical-partition store and the
+// label statistics over it.
 func NewEngine(g *graph.Graph) *Engine {
-	return NewEngineOpts(g, BuildOptions{})
-}
-
-// NewEngineOpts preprocesses g under opts, sharding the store build across
-// workers when opts.Shards asks for it.
-func NewEngineOpts(g *graph.Graph, opts BuildOptions) *Engine {
-	shards := opts.Shards
-	if shards < 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	// Record the parallelism that actually runs, not the requested one:
-	// EffectiveShards owns BuildSharded's fallback rules.
-	if shards > 1 {
-		shards = storage.EffectiveShards(g, shards)
-	} else {
-		shards = 1
-	}
 	start := time.Now()
-	var store *storage.Store
-	if shards > 1 {
-		store = storage.BuildSharded(g, shards)
-	} else {
-		store = storage.Build(g)
-	}
+	store := storage.Build(g)
 	e := &Engine{g: g, store: store, stats: stats.New(store)}
-	e.info = BuildInfo{Duration: time.Since(start), Shards: shards}
+	e.info = BuildInfo{Duration: time.Since(start)}
 	return e
 }
 
@@ -237,7 +204,7 @@ func (e *Engine) WithShard(index, count int) (*Engine, error) {
 func (e *Engine) Shard() (index, count int) { return e.shardIndex, e.shardCount }
 
 // SetBuildDuration widens the recorded offline-phase duration to d — for
-// loaders whose work starts before NewEngineOpts (parsing triples,
+// loaders whose work starts before NewEngine (parsing triples,
 // interning names). Call once, right after construction.
 func (e *Engine) SetBuildDuration(d time.Duration) { e.info.Duration = d }
 

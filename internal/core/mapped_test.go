@@ -142,7 +142,7 @@ func TestMappedAnswerNamesSurviveClose(t *testing.T) {
 // TestOpenSnapshotMappedCorruptionSweep: every single-bit flip and every
 // truncation must surface as a typed snapio error from the mapped open —
 // never a panic, never a silently wrong engine. The CRC pass runs before
-// any borrowed view is built, so even payload flips that would parse are
+// the engine is returned, so even payload flips that would parse are
 // caught.
 func TestOpenSnapshotMappedCorruptionSweep(t *testing.T) {
 	_, path := mappedFixture(t)

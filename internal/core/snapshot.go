@@ -22,14 +22,17 @@
 // Version 3 is v2 plus a trailing shard section giving the engine a fleet
 // shard identity (cmd/kgshard writes these). An unsharded engine still
 // writes v2 byte for byte, so sharding changes nothing for existing
-// snapshots; both loaders accept either version and an engine loaded from a
-// v3 file adopts the recorded identity.
+// snapshots; every loader accepts either version and an engine loaded from
+// a v3 file adopts the recorded identity.
 //
-// The checksum is verified before the engine is returned — streamed for the
-// heap loader, via one buffered pass (snapio.ChecksumFile) for the mapped
-// loader — so a torn write or bit rot surfaces as snapio.ErrChecksum rather
-// than a subtly wrong graph. All corruption is reported through the typed
-// snapio errors — never a panic.
+// Every loader decodes with the same function, parseSnapshot, over bytes in
+// memory: the heap loaders (ReadSnapshot, LoadSnapshotFile) read the whole
+// input first, the mapped open (OpenSnapshotMapped) maps it. Columns are
+// views of those bytes either way. The checksum is verified before the
+// engine is returned — over the owned bytes, or via one buffered read pass
+// (snapio.ChecksumFile) for a mapping — so a torn write or bit rot surfaces
+// as snapio.ErrChecksum rather than a subtly wrong graph. All corruption is
+// reported through the typed snapio errors — never a panic.
 package core
 
 import (
@@ -52,8 +55,8 @@ var snapshotMagic = [8]byte{'G', 'Q', 'B', 'E', 'S', 'N', 'A', 'P'}
 
 // SnapshotVersion is the current snapshot format version for unsharded
 // engines. Readers reject anything but it and SnapshotVersionShard with
-// snapio.ErrVersion. v2 aligns all columns for the zero-copy mapped loader;
-// v1 files must be rebuilt.
+// snapio.ErrVersion. v2 aligns all columns for the zero-copy decoder; v1
+// files must be rebuilt.
 const SnapshotVersion = 2
 
 // SnapshotVersionShard is the format version of a shard snapshot: v2 plus a
@@ -92,88 +95,19 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 	return bw.Flush()
 }
 
-// checkSnapshotVersion validates the version word of a snapshot stream and
-// reports whether a shard section follows the store section.
-func checkSnapshotVersion(v uint32) (sharded bool, err error) {
-	switch v {
-	case SnapshotVersion:
-		return false, nil
-	case SnapshotVersionShard:
-		return true, nil
-	}
-	return false, fmt.Errorf("%w: file is v%d, this binary reads v%d/v%d",
-		snapio.ErrVersion, v, SnapshotVersion, SnapshotVersionShard)
-}
-
-// readShardSection decodes and validates the v3 shard-identity section.
-func readShardSection(sr snapio.Source) (index, count int, err error) {
-	index = int(sr.U32())
-	count = int(sr.U32())
-	scheme := sr.String()
-	if err := sr.Err(); err != nil {
-		return 0, 0, err
-	}
-	if scheme != topk.ShardScheme {
-		return 0, 0, fmt.Errorf("%w: shard scheme %q, this binary merges %q",
-			snapio.ErrCorrupt, scheme, topk.ShardScheme)
-	}
-	if count < 2 || index < 0 || index >= count {
-		return 0, 0, fmt.Errorf("%w: shard identity %d/%d", snapio.ErrCorrupt, index, count)
-	}
-	return index, count, nil
-}
-
 // ReadSnapshot deserializes an engine from r, verifying the checksum before
-// returning it.
+// returning it. The whole input is read onto the heap and decoded in place.
 func ReadSnapshot(r io.Reader) (*Engine, error) {
 	start := time.Now()
-	br := bufio.NewReaderSize(r, 1<<20)
-	sr := snapio.NewReader(br)
-	var magic [8]byte
-	sr.Raw(magic[:])
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	if magic != snapshotMagic {
-		return nil, fmt.Errorf("%w: got % x", snapio.ErrBadMagic, magic[:])
-	}
-	sharded, err := checkSnapshotVersion(sr.U32())
-	if sr.Err() != nil {
-		return nil, sr.Err()
-	}
+	data, err := snapio.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	g, err := graph.ReadSnapshot(sr)
+	e, err := parseSnapshot(data, nil)
 	if err != nil {
 		return nil, err
 	}
-	store, err := storage.ReadSnapshot(sr)
-	if err != nil {
-		return nil, err
-	}
-	var shardIndex, shardCount int
-	if sharded {
-		if shardIndex, shardCount, err = readShardSection(sr); err != nil {
-			return nil, err
-		}
-	}
-	want := sr.Sum32()
-	got := sr.RawU32()
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	if got != want {
-		return nil, fmt.Errorf("%w: recorded %08x, computed %08x", snapio.ErrChecksum, got, want)
-	}
-	// The trailer must end the stream: bytes after it are damage the CRC
-	// cannot see (a concatenated or padded file), not a valid snapshot.
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("%w: data after checksum trailer", snapio.ErrCorrupt)
-	}
-	e := &Engine{g: g, store: store, stats: stats.New(store),
-		shardIndex: shardIndex, shardCount: shardCount}
-	e.info = BuildInfo{Duration: time.Since(start), Shards: 1, FromSnapshot: true}
+	e.info = BuildInfo{Duration: time.Since(start), FromSnapshot: true}
 	return e, nil
 }
 
@@ -214,7 +148,7 @@ func (e *Engine) WriteSnapshotFile(path string) error {
 	return nil
 }
 
-// LoadSnapshotFile reads an engine snapshot from path.
+// LoadSnapshotFile reads an engine snapshot from path onto the heap.
 func LoadSnapshotFile(path string) (*Engine, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -230,14 +164,16 @@ func LoadSnapshotFile(path string) (*Engine, error) {
 
 // OpenSnapshotMapped opens an engine over a memory-mapped snapshot file.
 // The graph's name blob and every int32 column (adjacency, store tables)
-// borrow the mapping instead of being decoded onto the heap, so the open
-// costs O(sections) allocations and the data pages are shared with the page
+// borrow the mapping instead of living on the heap, so the open costs
+// O(sections) allocations and the data pages are shared with the page
 // cache — N replicas of the same snapshot pay for its resident pages once.
 //
-// Integrity matches the heap loader: the CRC-32C trailer is verified over
-// the whole payload before any borrowed view is built (one buffered read
-// pass that also warms the page cache), and the same framing checks run
-// during parsing, so corruption surfaces as the typed snapio errors.
+// Integrity matches the heap loader: the same framing and shape checks run
+// during parsing, and the CRC-32C trailer is verified over the whole
+// payload before the engine is returned (one buffered read pass that also
+// warms the page cache), so corruption surfaces as the typed snapio errors.
+// The O(bytes) interior scans the heap loader runs are skipped: they would
+// fault every column into memory, and the CRC is the trust boundary.
 //
 // The returned engine holds the mapping until Close; the caller must
 // guarantee no query is in flight when it closes (the server's generation
@@ -249,14 +185,13 @@ func OpenSnapshotMapped(path string) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: loading %s: %w", path, err)
 	}
-	e, err := parseMapped(m)
+	e, err := parseSnapshot(m.Data(), m)
 	if err != nil {
 		m.Close()
 		return nil, fmt.Errorf("snapshot: loading %s: %w", path, err)
 	}
 	e.info = BuildInfo{
 		Duration:     time.Since(start),
-		Shards:       1,
 		FromSnapshot: true,
 		Mapped:       true,
 		MappedBytes:  int64(m.Len()),
@@ -264,10 +199,15 @@ func OpenSnapshotMapped(path string) (*Engine, error) {
 	return e, nil
 }
 
-// parseMapped verifies and decodes a mapped snapshot into an engine that
-// borrows the mapping. The caller closes m on error.
-func parseMapped(m *snapio.Map) (*Engine, error) {
-	sr := snapio.NewView(m.Data())
+// parseSnapshot decodes and verifies a whole snapshot held in memory:
+// owned bytes the heap loaders read (m nil), or the mapping m (data is
+// m.Data()), which the returned engine then borrows. The caller closes m
+// on error.
+func parseSnapshot(data []byte, m *snapio.Map) (*Engine, error) {
+	sr := snapio.NewView(data)
+	if m != nil {
+		sr = m.View()
+	}
 	var magic [8]byte
 	sr.Raw(magic[:])
 	if err := sr.Err(); err != nil {
@@ -276,22 +216,14 @@ func parseMapped(m *snapio.Map) (*Engine, error) {
 	if magic != snapshotMagic {
 		return nil, fmt.Errorf("%w: got % x", snapio.ErrBadMagic, magic[:])
 	}
-	sharded, err := checkSnapshotVersion(sr.U32())
-	if sr.Err() != nil {
-		return nil, sr.Err()
-	}
-	if err != nil {
+	version := sr.U32()
+	if err := sr.Err(); err != nil {
 		return nil, err
 	}
-	// Verify the trailer before building any borrowed view. ChecksumFile
-	// reads the file with plain read(2), never through the mapping, so the
-	// verification pass does not charge the file to this process's RSS.
-	got, want, err := snapio.ChecksumFile(m.Path())
-	if err != nil {
-		return nil, err
-	}
-	if got != want {
-		return nil, fmt.Errorf("%w: recorded %08x, computed %08x", snapio.ErrChecksum, want, got)
+	sharded := version == SnapshotVersionShard
+	if version != SnapshotVersion && !sharded {
+		return nil, fmt.Errorf("%w: file is v%d, this binary reads v%d/v%d",
+			snapio.ErrVersion, version, SnapshotVersion, SnapshotVersionShard)
 	}
 	g, err := graph.ReadSnapshot(sr)
 	if err != nil {
@@ -301,25 +233,55 @@ func parseMapped(m *snapio.Map) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	var shardIndex, shardCount int
+	e := &Engine{g: g, store: store, m: m}
 	if sharded {
-		if shardIndex, shardCount, err = readShardSection(sr); err != nil {
+		e.shardIndex = int(sr.U32())
+		e.shardCount = int(sr.U32())
+		scheme := sr.String()
+		if err := sr.Err(); err != nil {
 			return nil, err
 		}
+		if scheme != topk.ShardScheme {
+			return nil, fmt.Errorf("%w: shard scheme %q, this binary merges %q",
+				snapio.ErrCorrupt, scheme, topk.ShardScheme)
+		}
+		if e.shardCount < 2 || e.shardIndex < 0 || e.shardIndex >= e.shardCount {
+			return nil, fmt.Errorf("%w: shard identity %d/%d", snapio.ErrCorrupt, e.shardIndex, e.shardCount)
+		}
 	}
-	sr.RawU32() // CRC trailer, already verified above
+	sr.U32() // the CRC trailer, verified below
 	if err := sr.Err(); err != nil {
 		return nil, err
 	}
+	// The trailer must end the input: bytes after it are damage the CRC
+	// cannot see (a concatenated or padded file), not a valid snapshot.
 	if sr.Remaining() != 0 {
 		return nil, fmt.Errorf("%w: data after checksum trailer", snapio.ErrCorrupt)
 	}
-	// Prefetch the hot adjacency sections so the first queries don't fault
-	// them in one page at a time. Purely advisory — a failure (including the
-	// snapio.map.advise fault point) costs readahead, not correctness.
-	if aStart, aEnd := g.AdjacencyRange(); aEnd > aStart {
-		_ = m.Advise(int(aStart), int(aEnd-aStart))
+	// ChecksumFile reads the file with plain read(2), never through the
+	// mapping, so verifying a mapped snapshot does not charge the file to
+	// this process's RSS.
+	var got, want uint32
+	if m != nil {
+		got, want, err = snapio.ChecksumFile(m.Path())
+	} else {
+		got, want, err = snapio.Checksum(data)
 	}
-	return &Engine{g: g, store: store, stats: stats.New(store), m: m,
-		shardIndex: shardIndex, shardCount: shardCount}, nil
+	if err != nil {
+		return nil, err
+	}
+	if got != want {
+		return nil, fmt.Errorf("%w: recorded %08x, computed %08x", snapio.ErrChecksum, want, got)
+	}
+	e.stats = stats.New(store)
+	if m != nil {
+		// Prefetch the hot adjacency sections so the first queries don't
+		// fault them in one page at a time. Purely advisory — a failure
+		// (including the snapio.map.advise fault point) costs readahead, not
+		// correctness.
+		if aStart, aEnd := g.AdjacencyRange(); aEnd > aStart {
+			_ = m.Advise(int(aStart), int(aEnd-aStart))
+		}
+	}
+	return e, nil
 }

@@ -165,37 +165,3 @@ func TestLoadSnapshotFileMissing(t *testing.T) {
 		t.Fatal("missing snapshot loaded cleanly")
 	}
 }
-
-// TestNewEngineOptsSharded: the sharded build serves the same engine.
-func TestNewEngineOptsSharded(t *testing.T) {
-	ds := kgsynth.Freebase(kgsynth.Config{Seed: 42})
-	seq := NewEngine(ds.Graph)
-	shd := NewEngineOpts(ds.Graph, BuildOptions{Shards: 8})
-	if info := shd.Info(); info.Shards != 8 || info.FromSnapshot {
-		t.Errorf("BuildInfo = %+v, want Shards=8", info)
-	}
-	if info := seq.Info(); info.Shards != 1 {
-		t.Errorf("sequential BuildInfo = %+v, want Shards=1", info)
-	}
-	q := ds.MustQuery("F1")
-	tuple, err := ds.Tuple(q.QueryTuple())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := seq.QueryCtx(context.Background(), tuple, Options{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := shd.QueryCtx(context.Background(), tuple, Options{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Answers) != len(b.Answers) {
-		t.Fatalf("answers = %d vs %d", len(a.Answers), len(b.Answers))
-	}
-	for i := range a.Answers {
-		if a.Answers[i].Score != b.Answers[i].Score {
-			t.Errorf("answer %d score differs", i)
-		}
-	}
-}

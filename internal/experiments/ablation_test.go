@@ -1,8 +1,9 @@
 package experiments
 
-// Ablation tests for the design choices DESIGN.md calls out: each switches
-// one mechanism off and checks the paper-motivated property degrades (or at
-// least does not improve), tying the mechanism to its measured effect.
+// Ablation tests for the pipeline's design choices (docs/ARCHITECTURE.md
+// walks the pipeline): each switches one mechanism off and checks the
+// paper-motivated property degrades (or at least does not improve), tying
+// the mechanism to its measured effect.
 
 import (
 	"context"

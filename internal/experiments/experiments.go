@@ -7,7 +7,7 @@
 // ground-truth table is the query tuple and the remaining rows are the
 // ground truth; NESS receives the MQG discovered by GQBE as its query
 // graph; accuracy is measured with P@k, MAP and nDCG; the user study is
-// simulated (see internal/userstudy and DESIGN.md).
+// simulated (the internal/userstudy package doc describes how).
 package experiments
 
 import (

@@ -42,17 +42,18 @@ type Point uint8
 // survive. Each constant documents the behavior its call site implements
 // when the point fires.
 const (
-	// SnapioReadErr fails a snapshot read primitive with an injected I/O
-	// error (surfaces as a wrapped read error from snapio.Reader).
+	// SnapioReadErr fails the heap snapshot load's input read
+	// (snapio.ReadAll, hit once per fixed-size chunk of the file) with an
+	// injected I/O error, surfacing as a wrapped read error.
 	SnapioReadErr Point = iota
-	// SnapioReadFlip flips one bit in a chunk the snapshot reader just
-	// consumed, before hashing — the returned data and the running CRC both
-	// see the flip while the recorded trailer does not, so the real
+	// SnapioReadFlip flips one bit at the start of a chunk snapio.ReadAll
+	// just read — the decoded data and the CRC computed over it both see the
+	// flip while the recorded trailer does not, so the real
 	// corruption-detection path (ErrChecksum, or ErrCorrupt if a structural
 	// sanity check trips first) is exercised end to end.
 	SnapioReadFlip
-	// SnapioReadTruncate makes the snapshot reader report ErrTruncated as
-	// if the file ended mid-structure.
+	// SnapioReadTruncate makes snapio.ReadAll report ErrTruncated at a
+	// chunk, as if the file ended mid-structure.
 	SnapioReadTruncate
 	// SnapioWriteErr fails a snapshot write primitive with an injected I/O
 	// error.

@@ -453,9 +453,8 @@ func (g *Graph) SortAdjacencyParallel(workers int) {
 }
 
 // NodeRanges splits [0, n) into at most `parts` contiguous half-open
-// [lo, hi) ranges balanced to within one element — the partitioning used by
-// every sharded pass over the node space (adjacency sorting here, the
-// sharded store build in internal/storage).
+// [lo, hi) ranges balanced to within one element — the partitioning the
+// parallel adjacency sort fans out over.
 func NodeRanges(n, parts int) [][2]int {
 	if parts > n {
 		parts = n

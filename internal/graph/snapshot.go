@@ -9,7 +9,7 @@
 //	              Offsets rather than lengths so a mapped load can keep the
 //	              borrowed offsets column and blob as-is and slice entries
 //	              out lazily — no O(count) allocation or scan at open; heap
-//	              loads materialize []string entries up front as before.
+//	              loads materialize []string entries up front.
 //	(same shape for labels)
 //	u64 numEdges
 //	out adjacency: i32col of numNodes+1 cumulative arc offsets (first 0,
@@ -25,11 +25,12 @@
 //
 // Zero-copy guarantee: the string blobs are the only variable-width values;
 // padding them back to 4-byte alignment keeps every i32 column 4-aligned
-// relative to the file start, so a mapped load (snapio.ViewReader) can
-// reinterpret column bytes as []int32 in place. The loaded adjacency is the
-// frozen CSR form either way: the on-disk offset column is the CSR offset
-// table verbatim over the label/far-end columns, so a mapped open does no
-// per-node work at all — O(sections) allocations, O(1) per column.
+// relative to the file start, so the decoder (snapio.ViewReader) can
+// reinterpret column bytes as []int32 in place, over owned or mapped bytes
+// alike. The loaded adjacency is the frozen CSR form either way: the
+// on-disk offset column is the CSR offset table verbatim over the
+// label/far-end columns, so a mapped open does no per-node work at all —
+// O(sections) allocations, O(1) per column.
 package graph
 
 import (
@@ -38,25 +39,26 @@ import (
 	"gqbe/internal/snapio"
 )
 
-// writeStringTable emits the blob-backed string column. Lengths and blob
-// are streamed, and every length prefix is bounds-checked on the way out
-// (Writer.Len fails with ErrTooLarge), so an oversized table fails the
-// write instead of producing a file every load would reject.
-func writeStringTable(w *snapio.Writer, xs []string) {
-	w.Len(len(xs))
-	c := w.StartI32Col(len(xs) + 1)
+// writeStringTable emits the blob-backed string column of the n strings
+// at(0..n-1). Lengths and blob are streamed, and every length prefix is
+// bounds-checked on the way out (Writer.Len fails with ErrTooLarge), so an
+// oversized table fails the write instead of producing a file every load
+// would reject.
+func writeStringTable(w *snapio.Writer, n int, at func(int) string) {
+	w.Len(n)
+	c := w.StartI32Col(n + 1)
 	total := 0
 	c.Add(0)
-	for _, s := range xs {
-		total += len(s)
+	for i := 0; i < n; i++ {
+		total += len(at(i))
 		c.Add(int32(total))
 	}
 	if c.Close() != nil {
 		return
 	}
 	w.Len(total)
-	for _, s := range xs {
-		w.RawString(s)
+	for i := 0; i < n; i++ {
+		w.RawString(at(i))
 	}
 	w.Align4()
 }
@@ -64,10 +66,11 @@ func writeStringTable(w *snapio.Writer, xs []string) {
 // readStringTableView loads a string table's offsets column and blob without
 // materializing entries: O(1) work past the column reads themselves, so a
 // mapped open stays O(sections). Shape is validated at the edges (count,
-// first and last offset); interior monotonicity is not scanned for borrowed
-// sources — the CRC pass at open is the trust boundary, exactly as for the
-// adjacency range scan below.
-func readStringTableView(r snapio.Source) ([]int32, string) {
+// first and last offset); interior monotonicity is scanned only by
+// readStringTable, which mapped sources skip for the name table — their
+// CRC pass is the trust boundary, exactly as for the adjacency range scan
+// below.
+func readStringTableView(r *snapio.ViewReader) ([]int32, string) {
 	n := r.Len()
 	if r.Err() != nil {
 		return nil, ""
@@ -87,7 +90,7 @@ func readStringTableView(r snapio.Source) ([]int32, string) {
 
 // readStringTable loads a string column eagerly, slicing every entry out of
 // one backing string — the heap-load form, with every offset pair checked.
-func readStringTable(r snapio.Source) []string {
+func readStringTable(r *snapio.ViewReader) []string {
 	off, blob := readStringTableView(r)
 	if r.Err() != nil || len(off) <= 1 {
 		return nil
@@ -140,11 +143,11 @@ func writeAdjacency(w *snapio.Writer, a *adjacency, numNodes, numEdges int) {
 
 // readAdjacency loads one direction as frozen CSR, preserving the written
 // order. Shape (column lengths, degree sums) is always validated; the
-// per-arc range scan is skipped for borrowed sources, whose bytes were
-// already checksummed at open — touching every element there would fault
-// the whole column into memory, defeating the point of mapping it. A
-// CRC-valid file therefore defines the trust boundary for the mapped path.
-func readAdjacency(r snapio.Source, numNodes, numLabels, numEdges int) adjacency {
+// per-arc range scan is skipped for mapped sources, whose bytes are
+// checksummed at open — touching every element there would fault the whole
+// column into memory, defeating the point of mapping it. A CRC-valid file
+// therefore defines the trust boundary for the mapped path.
+func readAdjacency(r *snapio.ViewReader, numNodes, numLabels, numEdges int) adjacency {
 	off := snapio.ReadI32Col[int32](r)
 	lab := snapio.ReadI32Col[LabelID](r)
 	dst := snapio.ReadI32Col[NodeID](r)
@@ -155,15 +158,15 @@ func readAdjacency(r snapio.Source, numNodes, numLabels, numEdges int) adjacency
 		r.Fail(fmt.Errorf("%w: adjacency column shape mismatch", snapio.ErrCorrupt))
 		return adjacency{}
 	}
-	// The on-disk offset table IS the CSR offset table: a borrowed source
-	// keeps all three columns as views — no prefix-sum pass, no O(numNodes)
+	// The on-disk offset table IS the CSR offset table: all three columns
+	// stay views of the input — no prefix-sum pass, no O(numNodes)
 	// allocation. Edge checks are O(1); interior monotonicity is scanned
-	// only for owned sources, per the CRC trust boundary above.
+	// only for owned bytes, per the CRC trust boundary above.
 	if off[0] != 0 || int(off[numNodes]) != numEdges {
 		r.Fail(fmt.Errorf("%w: offset table endpoints", snapio.ErrCorrupt))
 		return adjacency{}
 	}
-	if !r.Borrowed() {
+	if !r.Mapped() {
 		for v := 0; v < numNodes; v++ {
 			if off[v+1] < off[v] {
 				r.Fail(fmt.Errorf("%w: offset table not monotone", snapio.ErrCorrupt))
@@ -184,8 +187,10 @@ func readAdjacency(r snapio.Source, numNodes, numLabels, numEdges int) adjacency
 // graph's current adjacency order, which the loaded graph reproduces
 // exactly, so a sorted graph round-trips to a sorted graph.
 func (g *Graph) AppendSnapshot(w *snapio.Writer) error {
-	writeStringTable(w, g.names)
-	writeStringTable(w, g.labels)
+	// Name, not g.names: a mapped graph keeps its names in the lazy
+	// on-disk form and must re-serialize to the bytes it was read from.
+	writeStringTable(w, g.NumNodes(), func(i int) string { return g.Name(NodeID(i)) })
+	writeStringTable(w, len(g.labels), func(i int) string { return g.labels[i] })
 	w.U64(uint64(g.numEdges))
 	writeAdjacency(w, &g.out, g.NumNodes(), g.numEdges)
 	writeAdjacency(w, &g.in, g.NumNodes(), g.numEdges)
@@ -193,13 +198,13 @@ func (g *Graph) AppendSnapshot(w *snapio.Writer) error {
 }
 
 // ReadSnapshot reads a snapshot section written by AppendSnapshot and
-// reconstructs the graph in frozen CSR form. From a borrowed source
-// (mapped snapshot) the big columns and the name blob are zero-copy views
-// of the mapping; either way the name→ID index is deferred to first use —
-// a mapped open must cost O(sections), not O(nodes).
-func ReadSnapshot(r snapio.Source) (*Graph, error) {
-	g := &Graph{borrowed: r.Borrowed()}
-	if r.Borrowed() {
+// reconstructs the graph in frozen CSR form. The big columns are zero-copy
+// views of r's bytes; from a mapped source the name blob stays one too, and
+// the graph reports Borrowed. Either way the name→ID index is deferred to
+// first use — a mapped open must cost O(sections), not O(nodes).
+func ReadSnapshot(r *snapio.ViewReader) (*Graph, error) {
+	g := &Graph{borrowed: r.Mapped()}
+	if r.Mapped() {
 		// Keep the name table in its on-disk form: the offsets column and
 		// blob are views of the mapping, and Name slices entries out on
 		// demand — the O(numNodes) []string materialization is exactly the

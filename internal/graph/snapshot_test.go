@@ -2,8 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"gqbe/internal/snapio"
@@ -38,7 +41,7 @@ func snapshotBytes(t *testing.T, g *Graph) []byte {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	g := snapGraph()
-	got, err := ReadSnapshot(snapio.NewReader(bytes.NewReader(snapshotBytes(t, g))))
+	got, err := ReadSnapshot(snapio.NewView(snapshotBytes(t, g)))
 	if err != nil {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}
@@ -94,7 +97,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // dedup set, so duplicates are still rejected.
 func TestSnapshotThenMutate(t *testing.T) {
 	g := snapGraph()
-	got, err := ReadSnapshot(snapio.NewReader(bytes.NewReader(snapshotBytes(t, g))))
+	got, err := ReadSnapshot(snapio.NewView(snapshotBytes(t, g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +118,7 @@ func TestSnapshotThenMutate(t *testing.T) {
 func TestSnapshotRoundTripBytes(t *testing.T) {
 	g := snapGraph()
 	first := snapshotBytes(t, g)
-	loaded, err := ReadSnapshot(snapio.NewReader(bytes.NewReader(first)))
+	loaded, err := ReadSnapshot(snapio.NewView(first))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +132,7 @@ func TestSnapshotTruncated(t *testing.T) {
 	full := snapshotBytes(t, snapGraph())
 	// Every prefix must fail with a typed error, never panic.
 	for cut := 0; cut < len(full); cut += 7 {
-		_, err := ReadSnapshot(snapio.NewReader(bytes.NewReader(full[:cut])))
+		_, err := ReadSnapshot(snapio.NewView(full[:cut]))
 		if !errors.Is(err, snapio.ErrTruncated) && !errors.Is(err, snapio.ErrCorrupt) {
 			t.Fatalf("cut %d: err = %v, want ErrTruncated/ErrCorrupt", cut, err)
 		}
@@ -156,8 +159,42 @@ func TestSnapshotCorruptShape(t *testing.T) {
 		snapio.I32Col(w, make([]int32, g.NumEdges())) // labels
 		snapio.I32Col(w, make([]int32, g.NumEdges())) // nodes
 	}
-	_, err := ReadSnapshot(snapio.NewReader(bytes.NewReader(buf.Bytes())))
+	_, err := ReadSnapshot(snapio.NewView(buf.Bytes()))
 	if !errors.Is(err, snapio.ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestSnapshotInteriorChecksOwnedOnly: an arc pointing past the node range
+// is caught by the interior scan over owned bytes, and skipped over a
+// mapping, whose CRC check (one layer up) is the trust boundary — the scan
+// would fault every column page into memory.
+func TestSnapshotInteriorChecksOwnedOnly(t *testing.T) {
+	raw := snapshotBytes(t, snapGraph())
+	// The section ends with the in-direction far-end column; its last
+	// element is the final 4 bytes.
+	binary.LittleEndian.PutUint32(raw[len(raw)-4:], 1<<30)
+	if _, err := ReadSnapshot(snapio.NewView(raw)); !errors.Is(err, snapio.ErrCorrupt) {
+		t.Fatalf("owned bytes: err = %v, want ErrCorrupt", err)
+	}
+
+	path := filepath.Join(t.TempDir(), "g.snap")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := snapio.OpenMap(path)
+	if errors.Is(err, snapio.ErrMapUnsupported) {
+		t.Skip("mmap unsupported on this platform")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	g, err := ReadSnapshot(m.View())
+	if err != nil {
+		t.Fatalf("mapped bytes: %v (the interior scan must be skipped)", err)
+	}
+	if !g.Borrowed() {
+		t.Error("graph read from a mapping does not report Borrowed")
 	}
 }

@@ -1,7 +1,7 @@
 // Package kgsynth generates the synthetic knowledge graphs this repository
 // substitutes for the Freebase and DBpedia dumps the paper evaluates on
-// (multi-GB downloads, unavailable offline — see DESIGN.md). Two generators
-// are provided:
+// (multi-GB downloads, unavailable offline; the properties kept are listed
+// below). Two generators are provided:
 //
 //   - Freebase: a people/companies/places/products graph carrying the
 //     twenty F-queries of Table I;

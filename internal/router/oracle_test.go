@@ -211,9 +211,9 @@ func TestOracleKGSynth(t *testing.T) {
 	if err := triples.WriteStreamFile(path, ds.Graph); err != nil {
 		t.Fatalf("WriteStreamFile: %v", err)
 	}
-	eng, err := gqbe.LoadFileSharded(path, -1)
+	eng, err := gqbe.LoadFile(path)
 	if err != nil {
-		t.Fatalf("LoadFileSharded: %v", err)
+		t.Fatalf("LoadFile: %v", err)
 	}
 	for _, qid := range []string{"F1", "F18"} {
 		tuple := ds.MustQuery(qid).QueryTuple()

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gqbe/internal/obs"
+	"gqbe/internal/topk"
 )
 
 // serverMetrics aggregates the serving counters exposed on /statz and
@@ -41,6 +42,10 @@ type serverMetrics struct {
 	reloadsRejected atomic.Uint64 // hot reloads rejected (loader failed); serving engine retained
 	brownouts       atomic.Uint64 // searches executed under the brownout clamp
 
+	// searchStopped counts engine searches (cache hits and coalesced
+	// answers excluded) by why they stopped, indexed like stopReasons.
+	searchStopped [len(stopReasons)]atomic.Uint64
+
 	// The three request-latency histograms, Prometheus-shaped (cumulative
 	// fixed buckets) so /metrics can expose them directly and /statz can
 	// derive its p50/p90/p99 from the same data:
@@ -55,6 +60,27 @@ type serverMetrics struct {
 	searchLat *obs.Histogram
 	queueLat  *obs.Histogram
 	totalLat  *obs.Histogram
+}
+
+// stopReasons is the fixed label set of gqbe_search_stopped_total, in
+// exposition order: every topk.StopReason an engine search can report.
+var stopReasons = [...]topk.StopReason{
+	topk.StopProven,
+	topk.StopExhausted,
+	topk.StopMaxEvaluations,
+	topk.StopRowBudget,
+	topk.StopDeadline,
+	topk.StopCanceled,
+}
+
+// noteStopped counts one engine search under its stop reason.
+func (m *serverMetrics) noteStopped(reason string) {
+	for i, r := range stopReasons {
+		if string(r) == reason {
+			m.searchStopped[i].Add(1)
+			return
+		}
+	}
 }
 
 func newServerMetrics() *serverMetrics {
@@ -99,12 +125,11 @@ type statzEngine struct {
 }
 
 // statzBuild describes how the engine's offline phase ran: a restart either
-// paid for a full parse+build (build_ms at the recorded shard count), a
-// binary snapshot load (snapshot true, shards 1), or a zero-copy mapped
-// snapshot open (mapped true, with the mapping size in mapped_bytes).
+// paid for a full parse+build, a binary snapshot load onto the heap
+// (snapshot true), or a zero-copy mapped snapshot open (mapped true, with
+// the mapping size in mapped_bytes).
 type statzBuild struct {
 	BuildMS     float64 `json:"build_ms"`
-	Shards      int     `json:"shards"`
 	Snapshot    bool    `json:"snapshot"`
 	Mapped      bool    `json:"mapped"`
 	MappedBytes int64   `json:"mapped_bytes,omitempty"`

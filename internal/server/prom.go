@@ -74,6 +74,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "gqbe_reloads_total{outcome=%q} %d\n", "rejected", m.reloadsRejected.Load())
 	promCounter(&b, "gqbe_brownouts_total",
 		"Searches executed under the brownout clamp (reduced k-prime and evaluation budget).", m.brownouts.Load())
+	promHeader(&b, "gqbe_search_stopped_total",
+		"Engine searches by why the lattice search stopped (cache hits and coalesced answers excluded).", "counter")
+	for i, r := range stopReasons {
+		fmt.Fprintf(&b, "gqbe_search_stopped_total{reason=%q} %d\n", r, m.searchStopped[i].Load())
+	}
 
 	promGauge(&b, "gqbe_cache_entries", "Result cache entries resident.", float64(s.cache.len()))
 	promGauge(&b, "gqbe_in_flight_requests", "Requests currently being handled.", float64(m.inFlight.Load()))

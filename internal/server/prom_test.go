@@ -213,3 +213,64 @@ func TestMetricsMethodNotAllowed(t *testing.T) {
 		t.Fatalf("status = %d, want 405", w.Code)
 	}
 }
+
+// TestMetricsSearchStopped: gqbe_search_stopped_total exposes the whole
+// fixed reason set from boot (zeros included) and counts each engine search
+// once under its Stats.Stopped — here the pinned row-budget case (Fig. 1,
+// Jerry Yang/Yahoo!, k 1, 8 rows), while a cache hit counts nothing.
+func TestMetricsSearchStopped(t *testing.T) {
+	s := newTestServer(t, Config{})
+	stopped := func() map[string]float64 {
+		t.Helper()
+		samples, types := parseExposition(t, getMetrics(t, s).Body.String())
+		if types["gqbe_search_stopped_total"] != "counter" {
+			t.Fatalf("gqbe_search_stopped_total TYPE = %q, want counter", types["gqbe_search_stopped_total"])
+		}
+		out := make(map[string]float64)
+		for _, sm := range samples["gqbe_search_stopped_total"] {
+			out[sm.labels] = sm.value
+		}
+		return out
+	}
+	before := stopped()
+	for _, r := range stopReasons {
+		if v, ok := before[`reason="`+string(r)+`"`]; !ok || v != 0 {
+			t.Errorf("reason %q at boot: (%v, present %v), want a 0 sample", r, v, ok)
+		}
+	}
+	if len(before) != len(stopReasons) {
+		t.Errorf("boot exposition has %d reasons, want %d: %v", len(before), len(stopReasons), before)
+	}
+
+	w := postQuery(t, s, `{"tuple":["Jerry Yang","Yahoo!"],"k":1,"max_rows":8,"no_cache":true}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", w.Code, w.Body.String())
+	}
+	if got := decodeQuery(t, w).Stats.Stopped; got != "row-budget" {
+		t.Fatalf("response stopped = %q, want row-budget", got)
+	}
+	after := stopped()
+	for labels, v := range after {
+		want := 0.0
+		if labels == `reason="row-budget"` {
+			want = 1
+		}
+		if v != want {
+			t.Errorf("%s = %v, want %v", labels, v, want)
+		}
+	}
+
+	// A search and then a cache hit of the same key: one more count.
+	for i := 0; i < 2; i++ {
+		if w := postQuery(t, s, `{"tuple":["Jerry Yang","Yahoo!"]}`); w.Code != http.StatusOK {
+			t.Fatalf("status = %d: %s", w.Code, w.Body.String())
+		}
+	}
+	total := 0.0
+	for _, v := range stopped() {
+		total += v
+	}
+	if total != 2 {
+		t.Errorf("searches counted = %v, want 2 (the cache hit must not count)", total)
+	}
+}

@@ -1075,6 +1075,9 @@ func (s *Server) execute(ctx context.Context, eg *engineGen, tuples [][]string, 
 		if err == nil || errors.Is(err, context.DeadlineExceeded) || searched >= minRecordedFailure {
 			s.met.searchLat.Observe(searched)
 		}
+		if res != nil {
+			s.met.noteStopped(res.Stats.Stopped)
+		}
 	}()
 	qctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
@@ -1261,7 +1264,6 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		Predicates: eg.eng.NumPredicates(),
 	}, statzBuild{
 		BuildMS:     float64(info.BuildTime) / float64(time.Millisecond),
-		Shards:      info.Shards,
 		Snapshot:    info.FromSnapshot,
 		Mapped:      info.Mapped,
 		MappedBytes: info.MappedBytes,

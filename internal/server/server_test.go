@@ -272,9 +272,9 @@ func TestStatzCounters(t *testing.T) {
 		t.Errorf("engine section empty: %+v", snap.Engine)
 	}
 	// The build section reports how the offline phase ran: this engine was
-	// built in-process (sequentially, not from a snapshot).
-	if snap.Build.Shards != 1 || snap.Build.Snapshot {
-		t.Errorf("build section = %+v, want shards=1 snapshot=false", snap.Build)
+	// built in-process, not from a snapshot.
+	if snap.Build.Snapshot || snap.Build.Mapped {
+		t.Errorf("build section = %+v, want snapshot=false mapped=false", snap.Build)
 	}
 	if snap.Build.BuildMS < 0 {
 		t.Errorf("build_ms = %v, want >= 0", snap.Build.BuildMS)

@@ -63,6 +63,13 @@ func OpenMap(path string) (*Map, error) {
 // faults (the mapping is PROT_READ).
 func (m *Map) Data() []byte { return m.data }
 
+// View returns a ViewReader over the mapped bytes; its Mapped reports true.
+func (m *Map) View() *ViewReader {
+	v := NewView(m.data)
+	v.mapped = true
+	return v
+}
+
 // Len returns the mapped size in bytes.
 func (m *Map) Len() int { return len(m.data) }
 

@@ -3,12 +3,16 @@
 // their sections with it; internal/core frames the sections into a file).
 //
 // The format is deliberately dumb: little-endian fixed-width integers and
-// length-prefixed flat columns, so a multi-gigabyte snapshot is written and
-// read as a handful of large sequential transfers with no per-row decoding
-// beyond a byte-order swap. Every value a Writer emits feeds a running
-// CRC-32C, and a Reader hashes exactly the bytes it consumes, so the caller
-// can frame sections with a trailing checksum without double-reading the
-// payload.
+// length-prefixed flat columns, so a multi-gigabyte snapshot is written as a
+// handful of large sequential transfers and read with no per-row decoding at
+// all. Every value a Writer emits feeds a running CRC-32C, so the caller can
+// frame sections with a trailing checksum.
+//
+// There is one decoder, ViewReader, over a snapshot held in memory: either
+// owned bytes read whole by ReadAll (the heap loaders) or a read-only file
+// mapping (OpenMap). Columns are views of those bytes either way; the two
+// sources differ only in how much validation a decoder above this package
+// runs (see ViewReader.Mapped).
 //
 // Corruption never panics: malformed input surfaces as one of the typed
 // sentinel errors (ErrTruncated, ErrCorrupt), which file-level callers wrap
@@ -22,15 +26,15 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
-	"strings"
-	"unsafe"
+	"io/fs"
+	"slices"
 
 	"gqbe/internal/fault"
 )
 
 // Typed snapshot errors; test with errors.Is. ErrBadMagic, ErrVersion and
 // ErrChecksum are returned by the file-level framing in internal/core;
-// ErrTruncated and ErrCorrupt by any reader primitive.
+// ErrTruncated and ErrCorrupt by any decoder primitive.
 var (
 	// ErrBadMagic means the input does not start with the snapshot magic —
 	// it is not a snapshot file at all.
@@ -56,14 +60,14 @@ var (
 // amd64/arm64, which matters at multi-GB snapshot sizes.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// MaxElems bounds any single column's element count. It exists so a corrupt
-// length prefix fails with ErrCorrupt instead of attempting a ludicrous
-// allocation; 1<<31 elements is already past what int32 node IDs can index.
+// MaxElems bounds any single column's element count: a length prefix past
+// it is ErrCorrupt; 1<<31 elements is already past what int32 node IDs can
+// index.
 const MaxElems = 1 << 31
 
-// chunkBytes is the staging-buffer size for column transfers: large enough
-// that a multi-million-row column moves in a few syscalls, small enough to
-// stay cache-friendly.
+// chunkBytes is the Writer's staging-buffer size for column transfers:
+// large enough that a multi-million-row column moves in a few syscalls,
+// small enough to stay cache-friendly.
 const chunkBytes = 1 << 16
 
 // Writer encodes snapshot values onto an io.Writer, keeping a running
@@ -106,14 +110,10 @@ func (w *Writer) write(p []byte) {
 	w.n += int64(len(p))
 }
 
-// Pos returns the number of hashed bytes written so far — the stream
-// offset Align4 pads against.
-func (w *Writer) Pos() int64 { return w.n }
-
 // Align4 zero-pads the stream to the next 4-byte boundary. Writers call it
 // after every byte blob so that every subsequent fixed-width column starts
-// 4-aligned — the layout guarantee the zero-copy mapped reader's []int32
-// casts rely on.
+// 4-aligned — the layout guarantee the zero-copy decoder's []int32 casts
+// rely on.
 func (w *Writer) Align4() {
 	if pad := int(-w.n & 3); pad != 0 {
 		var zero [3]byte
@@ -155,9 +155,9 @@ func (w *Writer) U64(v uint64) {
 func (w *Writer) I32(v int32) { w.U32(uint32(v)) }
 
 // Len writes a length prefix, failing with ErrTooLarge when it exceeds
-// what the format can represent — the write-side mirror of Reader.Len, so
-// an oversized column fails the snapshot write instead of producing a file
-// every load would reject as corrupt.
+// what the format can represent — the write-side mirror of ViewReader.Len,
+// so an oversized column fails the snapshot write instead of producing a
+// file every load would reject as corrupt.
 func (w *Writer) Len(n int) {
 	if n < 0 || uint64(n) >= MaxElems {
 		if w.err == nil {
@@ -258,252 +258,70 @@ func (c *ColWriter) Close() error {
 	return c.w.err
 }
 
-// Reader decodes snapshot values from an io.Reader, hashing exactly the
-// bytes it consumes (so a trailing checksum can be read unhashed with
-// RawU32). Like Writer, the first error sticks.
-type Reader struct {
-	r   io.Reader
-	crc hash.Hash32
-	n   int64 // hashed bytes consumed; drives Align4
-	buf [chunkBytes]byte
-	err error
-}
+// faultChunk is the granularity at which ReadAll applies the snapio.read.*
+// fault points: fine enough that even a small test snapshot spans several
+// chunks, so an injected fault lands mid-file rather than at byte zero.
+const faultChunk = 256
 
-// NewReader returns a Reader over r. For file-backed snapshots pass a
-// *bufio.Reader (or any buffered reader); the column primitives read in
-// large chunks either way.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: r, crc: crc32.New(castagnoli)}
-}
-
-// Err returns the first error encountered, or nil.
-func (r *Reader) Err() error { return r.err }
-
-// Sum32 returns the CRC-32C of everything consumed so far (excluding
-// RawU32 reads).
-func (r *Reader) Sum32() uint32 { return r.crc.Sum32() }
-
-// fail records err (once) and returns it.
-func (r *Reader) fail(err error) error {
-	if r.err == nil {
-		r.err = err
-	}
-	return r.err
-}
-
-// Fail records a decoding error discovered by the caller (a structural
-// check above the primitive layer); like internal errors, the first one
-// sticks.
-func (r *Reader) Fail(err error) { r.fail(err) }
-
-func (r *Reader) readFull(p []byte) bool {
-	if r.err != nil {
-		return false
-	}
-	if err := fault.Check(fault.SnapioReadErr); err != nil {
-		r.fail(fmt.Errorf("snapshot: read: %w", err))
-		return false
-	}
-	if fault.Fires(fault.SnapioReadTruncate) {
-		r.fail(ErrTruncated)
-		return false
-	}
-	if _, err := io.ReadFull(r.r, p); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			r.fail(ErrTruncated)
-		} else {
-			r.fail(fmt.Errorf("snapshot: read: %w", err))
-		}
-		return false
-	}
-	if len(p) > 0 && fault.Fires(fault.SnapioReadFlip) {
-		// Flip before hashing: the running CRC sees the damage while the
-		// recorded trailer does not, so the checksum check must trip (or a
-		// structural sanity check, whichever the flipped byte hits first).
-		p[0] ^= 0x01
-	}
-	r.crc.Write(p)
-	r.n += int64(len(p))
-	return true
-}
-
-// Pos returns the number of hashed bytes consumed so far — the stream
-// offset Align4 pads against.
-func (r *Reader) Pos() int64 { return r.n }
-
-// Borrowed reports whether values handed out alias the underlying input.
-// The heap Reader always decodes into owned memory.
-func (r *Reader) Borrowed() bool { return false }
-
-// Align4 consumes the zero padding a Writer.Align4 emitted at the same
-// stream offset, failing with ErrCorrupt on nonzero pad bytes.
-func (r *Reader) Align4() {
-	pad := int(-r.n & 3)
-	if pad == 0 {
-		return
-	}
-	var b [3]byte
-	if !r.readFull(b[:pad]) {
-		return
-	}
-	for _, c := range b[:pad] {
-		if c != 0 {
-			r.fail(fmt.Errorf("%w: nonzero alignment padding", ErrCorrupt))
-			return
+// ReadAll reads a snapshot's whole input for the heap loaders, which then
+// decode it in place with a ViewReader. A reader that knows its size — a
+// file (Stat) or an in-memory reader (Len) — gets one exact allocation, as
+// os.ReadFile does; any other doubles its buffer as it fills. Either way
+// the allocation follows the bytes actually present, never a length prefix
+// inside them.
+//
+// It is the one place the heap path reads, so the snapio.read.* fault
+// points apply here, once per faultChunk in file order: an injected I/O
+// error, an injected ErrTruncated, or one flipped bit that the CRC-32C
+// check over the returned bytes must catch.
+func ReadAll(r io.Reader) ([]byte, error) {
+	size := 0
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		size = r.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if st, err := r.Stat(); err == nil {
+			size = int(st.Size())
 		}
 	}
-}
-
-// Raw reads len(p) bytes verbatim (hashed) — file magic and other fixed
-// framing.
-func (r *Reader) Raw(p []byte) { r.readFull(p) }
-
-// RawU32 reads a little-endian uint32 without hashing it (the checksum
-// trailer).
-func (r *Reader) RawU32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	var b [4]byte
-	if _, err := io.ReadFull(r.r, b[:]); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			r.fail(ErrTruncated)
-		} else {
-			r.fail(fmt.Errorf("snapshot: read: %w", err))
+	// +1 so the read that reports EOF needs no growth.
+	data := make([]byte, 0, max(size+1, 512))
+	for {
+		n, err := r.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			break
 		}
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
-	var b [4]byte
-	if !r.readFull(b[:]) {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 {
-	var b [8]byte
-	if !r.readFull(b[:]) {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-// I32 reads a little-endian int32.
-func (r *Reader) I32() int32 { return int32(r.U32()) }
-
-// Len reads a length prefix, failing with ErrCorrupt when it exceeds the
-// sanity bound (a corrupt prefix must not drive a giant allocation).
-func (r *Reader) Len() int {
-	n := r.U32()
-	if r.err != nil {
-		return 0
-	}
-	if uint64(n) >= MaxElems {
-		r.fail(fmt.Errorf("%w: implausible length %d", ErrCorrupt, n))
-		return 0
-	}
-	return int(n)
-}
-
-// speculativeAllocCap bounds how much memory a reader allocates on the
-// strength of a length prefix alone. A corrupted prefix can claim up to
-// MaxElems; allocating that before the bytes actually arrive would turn a
-// bit flip into an OOM abort (fatal under cgroup limits) instead of the
-// typed error the corruption paths promise. Columns and blobs start at
-// this cap and grow only as real data is consumed.
-const speculativeAllocCap = 1 << 20 // elements or bytes per initial allocation
-
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.Grow(min(n, speculativeAllocCap))
-	for got := 0; got < n; {
-		c := min(n-got, chunkBytes)
-		if !r.readFull(r.buf[:c]) {
-			return ""
+		if err != nil {
+			return nil, fmt.Errorf("snapshot: read: %w", err)
 		}
-		b.Write(r.buf[:c])
-		got += c
-	}
-	return b.String()
-}
-
-// i32col decodes an n-element column into owned heap memory. The
-// destination grows chunk by chunk as data arrives (see
-// speculativeAllocCap), so a corrupt length prefix costs a typed error,
-// not a giant allocation.
-func (r *Reader) i32col(n int) []int32 {
-	out := make([]int32, 0, min(n, speculativeAllocCap))
-	for len(out) < n {
-		c := min(n-len(out), chunkBytes/4)
-		if !r.readFull(r.buf[:4*c]) {
-			return nil
-		}
-		for j := 0; j < c; j++ {
-			out = append(out, int32(binary.LittleEndian.Uint32(r.buf[4*j:])))
+		if len(data) == cap(data) {
+			data = slices.Grow(data, len(data))
 		}
 	}
-	return out
+	if fault.Enabled() {
+		for off := 0; off < len(data); off += faultChunk {
+			if err := fault.Check(fault.SnapioReadErr); err != nil {
+				return nil, fmt.Errorf("snapshot: read: %w", err)
+			}
+			if fault.Fires(fault.SnapioReadTruncate) {
+				return nil, ErrTruncated
+			}
+			if fault.Fires(fault.SnapioReadFlip) {
+				data[off] ^= 0x01
+			}
+		}
+	}
+	return data, nil
 }
 
-// Source is the read-side abstraction the section decoders (internal/graph,
-// internal/storage) consume: either a heap-decoding Reader or a zero-copy
-// ViewReader over a mapped snapshot. The unexported column hook keeps the
-// set of implementations closed to this package — the decoders' validation
-// assumptions (Borrowed, alignment) are part of the contract.
-type Source interface {
-	// U32 reads a little-endian uint32.
-	U32() uint32
-	// U64 reads a little-endian uint64.
-	U64() uint64
-	// I32 reads a little-endian int32.
-	I32() int32
-	// Len reads a length prefix, failing with ErrCorrupt past MaxElems.
-	Len() int
-	// String reads a length-prefixed string (possibly aliasing the input —
-	// see Borrowed).
-	String() string
-	// Align4 consumes the zero padding up to the next 4-byte boundary.
-	Align4()
-	// Pos returns the stream offset in bytes.
-	Pos() int64
-	// Err returns the first error encountered, or nil.
-	Err() error
-	// Fail records a structural error discovered by the caller.
-	Fail(err error)
-	// Borrowed reports whether returned strings and columns alias the
-	// underlying input (and must not outlive or mutate it) rather than
-	// being owned heap copies.
-	Borrowed() bool
-
-	// i32col returns the next n column elements, owned or borrowed.
-	i32col(n int) []int32
-}
-
-// ReadI32Col reads a length-prefixed flat column written by I32Col, as any
-// int32-typed element (graph.NodeID, graph.LabelID, int32 offsets). From a
-// heap Reader the column is decoded into owned memory; from a ViewReader it
-// is a zero-copy view of the input.
-func ReadI32Col[T ~int32](r Source) []T {
-	n := r.Len()
-	if r.Err() != nil || n == 0 {
-		return nil
+// Checksum computes the CRC-32C of an in-memory snapshot's payload (all but
+// the 4-byte trailer) and returns it alongside the recorded trailer value —
+// ChecksumFile for bytes the heap loaders already hold.
+func Checksum(data []byte) (got, want uint32, err error) {
+	payload := len(data) - 4
+	if payload < 0 {
+		return 0, 0, fmt.Errorf("snapshot: checksum: %w", ErrTruncated)
 	}
-	xs := r.i32col(n)
-	if xs == nil {
-		return nil
-	}
-	// []int32 and []T share layout exactly (T ~int32); reinterpreting the
-	// header avoids an O(n) copy per column on both read paths.
-	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs))
+	return crc32.Checksum(data[:payload], castagnoli), binary.LittleEndian.Uint32(data[payload:]), nil
 }

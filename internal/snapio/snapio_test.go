@@ -3,8 +3,11 @@ package snapio
 import (
 	"bytes"
 	"errors"
-	"strings"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
+	"testing/iotest"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -15,6 +18,7 @@ func TestRoundTrip(t *testing.T) {
 	w.I32(-3)
 	w.String("hello")
 	w.String("")
+	w.Align4()
 	col := []int32{0, 1, -5, 1 << 30}
 	I32Col(w, col)
 	I32Col(w, []int32(nil))
@@ -24,7 +28,7 @@ func TestRoundTrip(t *testing.T) {
 	sum := w.Sum32()
 	w.RawU32(sum)
 
-	r := NewReader(bytes.NewReader(buf.Bytes()))
+	r := NewView(buf.Bytes())
 	if got := r.U32(); got != 7 {
 		t.Errorf("U32 = %d, want 7", got)
 	}
@@ -40,6 +44,7 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.String(); got != "" {
 		t.Errorf("empty String = %q", got)
 	}
+	r.Align4()
 	gotCol := ReadI32Col[int32](r)
 	if len(gotCol) != len(col) {
 		t.Fatalf("col len = %d, want %d", len(gotCol), len(col))
@@ -52,18 +57,19 @@ func TestRoundTrip(t *testing.T) {
 	if got := ReadI32Col[int32](r); got != nil {
 		t.Errorf("nil col = %v", got)
 	}
+	if got := r.U32(); got != sum {
+		t.Errorf("trailer = %08x, want %08x", got, sum)
+	}
 	if r.Err() != nil {
 		t.Fatalf("read: %v", r.Err())
 	}
-	if r.Sum32() != sum {
-		t.Errorf("reader CRC %08x != writer CRC %08x", r.Sum32(), sum)
-	}
-	if got := r.RawU32(); got != sum {
-		t.Errorf("trailer = %08x, want %08x", got, sum)
+	got, want, err := Checksum(buf.Bytes())
+	if err != nil || got != sum || want != sum {
+		t.Errorf("Checksum = (%08x, %08x, %v), want writer CRC %08x twice", got, want, err, sum)
 	}
 }
 
-// TestLargeColumn crosses the chunking boundary in both directions.
+// TestLargeColumn crosses the writer's chunking boundary.
 func TestLargeColumn(t *testing.T) {
 	col := make([]int32, chunkBytes/4*3+17)
 	for i := range col {
@@ -75,7 +81,7 @@ func TestLargeColumn(t *testing.T) {
 	if w.Err() != nil {
 		t.Fatal(w.Err())
 	}
-	r := NewReader(&buf)
+	r := NewView(buf.Bytes())
 	got := ReadI32Col[int32](r)
 	if r.Err() != nil {
 		t.Fatal(r.Err())
@@ -96,7 +102,7 @@ func TestTruncated(t *testing.T) {
 	I32Col(w, []int32{1, 2, 3, 4, 5})
 	full := buf.Bytes()
 	for cut := 0; cut < len(full); cut++ {
-		r := NewReader(bytes.NewReader(full[:cut]))
+		r := NewView(full[:cut])
 		ReadI32Col[int32](r)
 		if !errors.Is(r.Err(), ErrTruncated) {
 			t.Fatalf("cut at %d: err = %v, want ErrTruncated", cut, r.Err())
@@ -104,21 +110,24 @@ func TestTruncated(t *testing.T) {
 	}
 }
 
+// TestImplausibleLength: a length prefix past MaxElems is ErrCorrupt, and
+// one within it but past the bytes present is ErrTruncated.
 func TestImplausibleLength(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.U32(0xFFFFFFFF) // length prefix far past MaxElems
-	r := NewReader(strings.NewReader(buf.String()))
-	ReadI32Col[int32](r)
-	if !errors.Is(r.Err(), ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", r.Err())
+	for prefix, want := range map[uint32]error{0xFFFFFFFF: ErrCorrupt, MaxElems - 1: ErrTruncated} {
+		var buf bytes.Buffer
+		NewWriter(&buf).U32(prefix)
+		r := NewView(buf.Bytes())
+		ReadI32Col[int32](r)
+		if !errors.Is(r.Err(), want) {
+			t.Fatalf("prefix %#x: err = %v, want %v", prefix, r.Err(), want)
+		}
 	}
 }
 
-// TestErrSticks verifies a Reader stays failed after the first error, so a
-// section decode can check Err once at the end.
+// TestErrSticks verifies a ViewReader stays failed after the first error,
+// so a section decode can check Err once at the end.
 func TestErrSticks(t *testing.T) {
-	r := NewReader(bytes.NewReader(nil))
+	r := NewView(nil)
 	_ = r.U32()
 	if !errors.Is(r.Err(), ErrTruncated) {
 		t.Fatalf("err = %v", r.Err())
@@ -127,5 +136,37 @@ func TestErrSticks(t *testing.T) {
 	_ = ReadI32Col[int32](r)
 	if !errors.Is(r.Err(), ErrTruncated) {
 		t.Fatalf("sticky err = %v", r.Err())
+	}
+}
+
+// TestReadAll: the heap loaders' input comes back byte for byte from a
+// reader that knows its size (Len, Stat) and from one that does not; a
+// reader error surfaces wrapped.
+func TestReadAll(t *testing.T) {
+	data := make([]byte, 3*faultChunk+5)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	path := filepath.Join(t.TempDir(), "in")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for name, r := range map[string]io.Reader{
+		"len":     bytes.NewReader(data),
+		"stat":    f,
+		"unsized": iotest.OneByteReader(bytes.NewReader(data)),
+	} {
+		if got, err := ReadAll(r); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("%s reader: (%d bytes, %v), want the input", name, len(got), err)
+		}
+	}
+	boom := errors.New("disk on fire")
+	if _, err := ReadAll(iotest.ErrReader(boom)); !errors.Is(err, boom) {
+		t.Fatalf("reader error: err = %v, want it wrapped", err)
 	}
 }

@@ -15,17 +15,19 @@ var hostLittleEndian = func() bool {
 }()
 
 // ViewReader decodes snapshot values directly from an in-memory byte
-// slice — typically an mmap'd snapshot file. Columns and string blobs are
-// handed out as zero-copy views of the slice (Borrowed reports true), so
-// opening a multi-GB snapshot allocates O(sections), not O(bytes); the
-// caller owns keeping the backing memory alive and unmodified for as long
-// as any decoded value is reachable.
+// slice: a whole snapshot read onto the heap (ReadAll) or an mmap'd file
+// (Map.View). Columns and string blobs are handed out as zero-copy views of
+// the slice, so decoding allocates O(sections), not O(bytes); the caller
+// owns keeping the backing memory alive and unmodified for as long as any
+// decoded value is reachable.
 //
-// Integrity: a ViewReader performs the same structural checks as Reader
-// (length bounds, alignment padding) but keeps no running CRC — callers
-// verify the file's CRC-32C trailer once at open (see ChecksumFile) before
-// parsing. On a big-endian host, or over a misaligned buffer, columns fall
-// back to decoded heap copies; the format stays readable everywhere.
+// Every length is checked against the bytes actually present before
+// anything is sliced or allocated, so a corrupt prefix costs ErrTruncated
+// or ErrCorrupt, never a giant allocation. A ViewReader keeps no running
+// CRC: callers verify the file's CRC-32C trailer once (Checksum over owned
+// bytes, ChecksumFile for a mapping). On a big-endian host, or over a
+// misaligned buffer, columns fall back to decoded heap copies; the format
+// stays readable everywhere.
 type ViewReader struct {
 	data []byte
 	pos  int
@@ -33,10 +35,12 @@ type ViewReader struct {
 	// big-endian hosts and for buffers whose base is not 4-byte aligned
 	// (mmap bases are page-aligned, but tests may view arbitrary slices).
 	copyCols bool
-	err      error
+	// mapped is set by Map.View: the bytes are a read-only file mapping.
+	mapped bool
+	err    error
 }
 
-// NewView returns a ViewReader over data.
+// NewView returns a ViewReader over owned bytes.
 func NewView(data []byte) *ViewReader {
 	misaligned := uintptr(unsafe.Pointer(unsafe.SliceData(data)))&3 != 0
 	return &ViewReader{data: data, copyCols: !hostLittleEndian || misaligned}
@@ -53,9 +57,12 @@ func (v *ViewReader) Fail(err error) {
 	}
 }
 
-// Borrowed reports that decoded strings and columns alias the underlying
-// buffer.
-func (v *ViewReader) Borrowed() bool { return true }
+// Mapped reports whether the bytes are a file mapping rather than owned
+// heap memory. Section decoders use it to skip the O(bytes) interior scans
+// on a mapping, whose CRC-32C is the trust boundary and whose pages a scan
+// would fault into the resident set; owned bytes are already resident, so
+// they keep every check. Values decoded from a mapping must not outlive it.
+func (v *ViewReader) Mapped() bool { return v.mapped }
 
 // Pos returns the current decode offset in bytes.
 func (v *ViewReader) Pos() int64 { return int64(v.pos) }
@@ -94,11 +101,6 @@ func (v *ViewReader) U32() uint32 {
 	}
 	return binary.LittleEndian.Uint32(b)
 }
-
-// RawU32 reads a little-endian uint32; on a view the checksum trailer is
-// no different from any other word (there is no running hash to exclude it
-// from).
-func (v *ViewReader) RawU32() uint32 { return v.U32() }
 
 // U64 reads a little-endian uint64.
 func (v *ViewReader) U64() uint64 {
@@ -156,7 +158,7 @@ func (v *ViewReader) Align4() {
 }
 
 // i32col returns the next n column elements as a zero-copy reinterpretation
-// of the mapped bytes (or a decoded copy on hosts where the cast is
+// of the input bytes (or a decoded copy on hosts where the cast is
 // unsound). Writers pad every blob back to a 4-byte boundary, so a column
 // starting misaligned is framing corruption, not a casting opportunity.
 func (v *ViewReader) i32col(n int) []int32 {
@@ -183,4 +185,21 @@ func (v *ViewReader) i32col(n int) []int32 {
 		return out
 	}
 	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(b))), n)
+}
+
+// ReadI32Col reads a length-prefixed flat column written by I32Col, as any
+// int32-typed element (graph.NodeID, graph.LabelID, int32 offsets): a
+// zero-copy view of the input where the host allows the cast.
+func ReadI32Col[T ~int32](v *ViewReader) []T {
+	n := v.Len()
+	if v.Err() != nil || n == 0 {
+		return nil
+	}
+	xs := v.i32col(n)
+	if xs == nil {
+		return nil
+	}
+	// []int32 and []T share layout exactly (T ~int32); reinterpreting the
+	// header avoids an O(n) copy per column.
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs))
 }

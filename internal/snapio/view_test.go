@@ -30,8 +30,8 @@ func viewPayload(t *testing.T) ([]byte, []int32) {
 	return buf.Bytes(), col
 }
 
-// readPayload decodes viewPayload's layout from any Source and checks every
-// value, returning the decoded column.
+// readPayload decodes viewPayload's layout and checks every value,
+// returning the decoded column.
 func readPayload(t *testing.T, r *ViewReader, col []int32) []int32 {
 	t.Helper()
 	if got := r.U32(); got != 7 {
@@ -59,7 +59,7 @@ func readPayload(t *testing.T, r *ViewReader, col []int32) []int32 {
 			t.Errorf("col[%d] = %d, want %d", i, gotCol[i], col[i])
 		}
 	}
-	_ = r.RawU32()
+	_ = r.U32()
 	if r.Err() != nil {
 		t.Fatalf("read: %v", r.Err())
 	}
@@ -69,14 +69,14 @@ func readPayload(t *testing.T, r *ViewReader, col []int32) []int32 {
 	return gotCol
 }
 
-// TestViewReaderRoundTrip: a ViewReader decodes the Writer's output exactly
-// like the heap Reader, and its columns alias the input buffer (zero copy)
-// on little-endian hosts.
+// TestViewReaderRoundTrip: a ViewReader decodes the Writer's output
+// exactly, and its columns alias the input buffer (zero copy) on
+// little-endian hosts.
 func TestViewReaderRoundTrip(t *testing.T) {
 	raw, col := viewPayload(t)
 	v := NewView(raw)
-	if !v.Borrowed() {
-		t.Error("ViewReader does not report Borrowed")
+	if v.Mapped() {
+		t.Error("ViewReader over owned bytes reports Mapped")
 	}
 	gotCol := readPayload(t, v, col)
 	if hostLittleEndian {
@@ -155,7 +155,7 @@ func TestViewReaderTruncated(t *testing.T) {
 		v.Align4()
 		_ = v.String()
 		_ = ReadI32Col[int32](v)
-		_ = v.RawU32()
+		_ = v.U32()
 		if !errors.Is(v.Err(), ErrTruncated) && !errors.Is(v.Err(), ErrCorrupt) {
 			t.Fatalf("cut at %d: err = %v, want typed error", cut, v.Err())
 		}
@@ -163,7 +163,7 @@ func TestViewReaderTruncated(t *testing.T) {
 	_ = col
 }
 
-// TestViewReaderImplausibleLength mirrors the Reader bound check.
+// TestViewReaderImplausibleLength: a length past MaxElems is ErrCorrupt.
 func TestViewReaderImplausibleLength(t *testing.T) {
 	v := NewView([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	_ = ReadI32Col[int32](v)
@@ -193,7 +193,11 @@ func TestOpenMapLifecycle(t *testing.T) {
 	if m.Path() != path {
 		t.Errorf("Path = %q, want %q", m.Path(), path)
 	}
-	readPayload(t, NewView(m.Data()), col)
+	v := m.View()
+	if !v.Mapped() {
+		t.Error("Map.View does not report Mapped")
+	}
+	readPayload(t, v, col)
 
 	// Advisory hints must tolerate clamping and degenerate ranges.
 	for _, r := range [][2]int{{0, m.Len()}, {4, m.Len() * 2}, {-1, 5}, {m.Len(), 4}, {0, 0}} {

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -38,26 +37,6 @@ func BenchmarkStoreBuild(b *testing.B) {
 		if s.NumEdges() != g.NumEdges() {
 			b.Fatal("bad store")
 		}
-	}
-}
-
-// BenchmarkStoreBuildSharded measures the partitioned build at fixed worker
-// counts. On multi-core hardware the 8-shard build should beat Build by ≥2x
-// on this graph; under GOMAXPROCS=1 it degrades to sequential work plus
-// coordination overhead (BENCH_engine.json records which environment the
-// numbers came from).
-func BenchmarkStoreBuildSharded(b *testing.B) {
-	g, _ := benchFixture(b)
-	for _, shards := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := BuildSharded(g, shards)
-				if s.NumEdges() != g.NumEdges() {
-					b.Fatal("bad store")
-				}
-			}
-		})
 	}
 }
 

@@ -25,7 +25,7 @@
 // the loader aliases that instead — one column fewer on disk and in memory.
 // Every value here is a 4-byte unit, so with the section 4-aligned at its
 // start (internal/core frames it that way) each column is castable in place
-// by the zero-copy mapped reader.
+// by the zero-copy decoder.
 package storage
 
 import (
@@ -71,9 +71,9 @@ func (s *Store) AppendSnapshot(w *snapio.Writer) error {
 }
 
 // ReadSnapshot reads a snapshot section written by AppendSnapshot. The
-// columns land directly in the table slices — borrowed views when the
-// source is a mapped snapshot — and no sorting or index construction runs.
-func ReadSnapshot(r snapio.Source) (*Store, error) {
+// columns land directly in the table slices as views of r's bytes, owned or
+// mapped, and no sorting or index construction runs.
+func ReadSnapshot(r *snapio.ViewReader) (*Store, error) {
 	numLabels := int(r.U32())
 	numEdges := r.U64()
 	if r.Err() != nil {

@@ -10,6 +10,18 @@ import (
 	"gqbe/internal/snapio"
 )
 
+// storeBytes serializes a store; byte equality of sections is the oracle
+// for a byte-stable round trip.
+func storeBytes(t *testing.T, s *Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := snapio.NewWriter(&buf)
+	if err := s.AppendSnapshot(w); err != nil {
+		t.Fatalf("AppendSnapshot: %v", err)
+	}
+	return buf.Bytes()
+}
+
 // TestStoreSnapshotRoundTrip: a loaded store must probe identically to the
 // built one — same postings, degrees, and existence answers on every row,
 // and byte-stable when written again.
@@ -17,7 +29,7 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 	g := kgsynth.Freebase(kgsynth.Config{Seed: 42}).Graph
 	built := Build(g)
 	raw := storeBytes(t, built)
-	loaded, err := ReadSnapshot(snapio.NewReader(bytes.NewReader(raw)))
+	loaded, err := ReadSnapshot(snapio.NewView(raw))
 	if err != nil {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}
@@ -58,7 +70,7 @@ func TestStoreSnapshotTruncated(t *testing.T) {
 	g := kgsynth.Freebase(kgsynth.Config{Seed: 42}).Graph
 	raw := storeBytes(t, Build(g))
 	for _, cut := range []int{0, 1, 4, 11, len(raw) / 3, len(raw) / 2, len(raw) - 1} {
-		_, err := ReadSnapshot(snapio.NewReader(bytes.NewReader(raw[:cut])))
+		_, err := ReadSnapshot(snapio.NewView(raw[:cut]))
 		if !errors.Is(err, snapio.ErrTruncated) && !errors.Is(err, snapio.ErrCorrupt) {
 			t.Fatalf("cut %d: err = %v, want ErrTruncated/ErrCorrupt", cut, err)
 		}
@@ -76,7 +88,7 @@ func TestStoreSnapshotCorruptShape(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		snapio.I32Col(w, []int32(nil)) // all columns empty
 	}
-	_, err := ReadSnapshot(snapio.NewReader(bytes.NewReader(buf.Bytes())))
+	_, err := ReadSnapshot(snapio.NewView(buf.Bytes()))
 	if !errors.Is(err, snapio.ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
