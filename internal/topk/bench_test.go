@@ -17,7 +17,9 @@ import (
 
 var (
 	benchOnce  sync.Once
+	benchDS    *kgsynth.Dataset
 	benchSt    *storage.Store
+	benchEst   *stats.Stats
 	benchLats  map[string]*lattice.Lattice
 	benchTups  map[string][]graph.NodeID
 	benchQuery = []string{"F1", "F18"}
@@ -37,7 +39,7 @@ func kgFixture() {
 		ds := kgsynth.Freebase(kgsynth.Config{Seed: 42})
 		st := storage.Build(ds.Graph)
 		est := stats.New(st)
-		benchSt = st
+		benchDS, benchSt, benchEst = ds, st, est
 		benchLats = make(map[string]*lattice.Lattice)
 		benchTups = make(map[string][]graph.NodeID)
 		for _, id := range benchQuery {
