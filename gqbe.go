@@ -146,6 +146,9 @@ type Stats struct {
 	// FrontierRecomputes is the number of upper-frontier recomputations
 	// (Alg. 3) the search performed.
 	FrontierRecomputes int
+	// PeakLiveRows is the most materialized answer rows the search held at
+	// once — its memory footprint in rows, each one slot per MQG node.
+	PeakLiveRows int
 	// Stopped says why the lattice search returned: "topk-proven" (the
 	// top-k answers were provably final), "frontier-exhausted" (the whole
 	// reachable lattice was explored), "row-budget" (a query graph skipped
@@ -457,6 +460,7 @@ func (e *Engine) wrap(res *core.Result, withMQG bool) *Result {
 			NodesGenerated:     res.Stats.NodesGenerated,
 			NodesPruned:        res.Stats.NodesPruned,
 			FrontierRecomputes: res.Stats.FrontierRecomputes,
+			PeakLiveRows:       res.Stats.PeakLiveRows,
 			Stopped:            string(res.Stats.Stopped),
 			// Terminated is derived here, once: the engine layers carry only
 			// the Stopped reason.

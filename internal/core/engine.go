@@ -85,13 +85,15 @@ type Stats struct {
 	Processing time.Duration
 	// MQGEdges is the edge cardinality of the (merged) MQG.
 	MQGEdges int
-	// NodesEvaluated / NullNodes / Stopped — and the lattice-shape counters
-	// NodesGenerated / NodesPruned / FrontierRecomputes — mirror topk.Result.
+	// NodesEvaluated / NullNodes / Stopped — the lattice-shape counters
+	// NodesGenerated / NodesPruned / FrontierRecomputes, and PeakLiveRows —
+	// mirror topk.Result.
 	NodesEvaluated     int
 	NullNodes          int
 	NodesGenerated     int
 	NodesPruned        int
 	FrontierRecomputes int
+	PeakLiveRows       int
 	Stopped            topk.StopReason
 }
 
@@ -352,6 +354,7 @@ func (e *Engine) searchMQG(ctx context.Context, m *mqg.MQG, exclude [][]graph.No
 			NodesGenerated:     tres.NodesGenerated,
 			NodesPruned:        tres.NodesPruned,
 			FrontierRecomputes: tres.FrontierRecomputes,
+			PeakLiveRows:       tres.PeakLiveRows,
 			Stopped:            tres.Stopped,
 		},
 	}

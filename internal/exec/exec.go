@@ -11,9 +11,10 @@
 //
 // Materialized answers live in flat arenas: a lattice node's rows are one
 // backing []graph.NodeID with stride = slot count (Rows), not millions of
-// individual row slices. Arenas grow geometrically and are recycled across
-// lattice nodes within one evaluator, so a search's join traffic is a
-// handful of large allocations instead of per-row garbage.
+// individual row slices. A join sizes its arena from the probe side before
+// writing, and arenas of Released nodes are recycled across lattice nodes
+// within one evaluator, so a search's join traffic is a handful of large
+// allocations instead of per-row garbage.
 package exec
 
 import (
@@ -94,13 +95,16 @@ type Evaluator struct {
 	// sharing: a parent extends a memoized child by one edge).
 	memo      map[lattice.EdgeSet]*Rows
 	evaluated int
+	// liveRows is Σ Len over memo; peakLiveRows its largest value.
+	liveRows     int
+	peakLiveRows int
 	// Join-strategy traffic, for trace attrs: memo hits, one-edge
 	// incremental joins, and from-scratch evaluations.
 	memoHits    int
 	incremental int
 	scratch     int
-	// free holds arenas recycled by Release and by superseded scratch
-	// intermediates, reused by later evaluations.
+	// free holds arenas recycled by Release, by superseded scratch
+	// intermediates and by failed joins, reused by later evaluations.
 	free [][]graph.NodeID
 }
 
@@ -215,6 +219,10 @@ func (ev *Evaluator) Counters() (evaluated, memoHits, incremental, scratch int) 
 	return ev.evaluated, ev.memoHits, ev.incremental, ev.scratch
 }
 
+// PeakLiveRows returns the most rows the memo held at once: the search's
+// materialized-answer footprint, in rows of NumSlots slots.
+func (ev *Evaluator) PeakLiveRows() int { return ev.peakLiveRows }
+
 // Rows returns the materialized answers of q, if it has been evaluated.
 func (ev *Evaluator) Rows(q lattice.EdgeSet) (*Rows, bool) {
 	rows, ok := ev.memo[q]
@@ -226,26 +234,34 @@ func (ev *Evaluator) Rows(q lattice.EdgeSet) (*Rows, bool) {
 func (ev *Evaluator) Release(q lattice.EdgeSet) {
 	if rows, ok := ev.memo[q]; ok {
 		delete(ev.memo, q)
+		ev.liveRows -= rows.Len()
 		ev.recycle(rows)
 	}
 }
 
-// newRows returns an empty row set backed by a recycled arena when one is
-// available, with capacity for at least capRows rows either way.
+// newRows returns an empty row set with capacity for at least capRows rows,
+// backed by the smallest recycled arena that holds them if that arena is at
+// most twice the request; otherwise a fresh arena is cut to size. The bound
+// keeps a small node from pinning a large arena for as long as it lives.
 func (ev *Evaluator) newRows(capRows int) *Rows {
 	stride := len(ev.nodes)
 	want := capRows * stride
-	// want == 0 never draws from the pool: an empty result needs no
-	// backing, and memoized empty nodes must not pin recycled arenas.
-	if n := len(ev.free); n > 0 && want > 0 {
-		// Reuse the top arena when it can hold the hint; a too-small one
-		// stays pooled for a smaller consumer and a fresh arena is cut.
-		if data := ev.free[n-1]; cap(data) >= want {
-			ev.free = ev.free[:n-1]
-			return &Rows{data: data[:0], stride: stride}
+	// The bound also keeps want == 0 from drawing any arena: an empty
+	// result needs no backing, and memoized empty nodes must not pin one.
+	best := -1
+	for i, data := range ev.free {
+		if c := cap(data); c >= want && c <= 2*want && (best < 0 || c < cap(ev.free[best])) {
+			best = i
 		}
 	}
-	return &Rows{data: make([]graph.NodeID, 0, want), stride: stride}
+	if best < 0 {
+		return &Rows{data: make([]graph.NodeID, 0, want), stride: stride}
+	}
+	data := ev.free[best]
+	last := len(ev.free) - 1
+	ev.free[best], ev.free[last] = ev.free[last], nil
+	ev.free = ev.free[:last]
+	return &Rows{data: data[:0], stride: stride}
 }
 
 // recycle returns an arena to the free list for reuse.
@@ -256,11 +272,19 @@ func (ev *Evaluator) recycle(rows *Rows) {
 }
 
 // Evaluate returns all answer graphs of query graph q, evaluating and
-// memoizing it if needed. If some already-evaluated child Q' = q − e exists,
-// only the one extra edge is joined against Q”s materialized rows;
-// otherwise q is evaluated from scratch in a selectivity-greedy join order.
-// Either way the answer set (and whether the row budget trips) is a function
-// of q alone; only the row order can differ.
+// memoizing it if needed. If some memoized child Q' = q − e exists, only the
+// one extra edge is joined against the rows of the smallest such child (the
+// lowest edge index on a tie); otherwise q is evaluated from scratch in a
+// selectivity-greedy join order. Either way the answer set is a function of
+// q alone; only the row order can differ. Whether the row budget trips is a
+// function of q alone only for a one-edge join, whose output is exactly q's
+// answers: a scratch evaluation also fails when a greedy intermediate
+// exceeds the budget, even if q's answers would fit.
+//
+// A caller that Releases nodes decides which children are memoized, and so
+// which nodes take the one-edge path. The search releases a node only once
+// no parent of it waits in the lower frontier, so every node it evaluates
+// still has a memoized child exactly when it would with nothing released.
 //
 //gqbe:hotpath
 func (ev *Evaluator) Evaluate(q lattice.EdgeSet) (*Rows, error) {
@@ -280,14 +304,14 @@ func (ev *Evaluator) Evaluate(q lattice.EdgeSet) (*Rows, error) {
 		return nil, err
 	}
 	ev.evaluated++
-	// Prefer extending a materialized child by one edge (shared computation).
+	// Prefer extending a materialized child by one edge (shared computation),
+	// probing the child with the fewest rows.
 	childEdge := -1
 	var childRows *Rows
 	for r := uint64(q); r != 0; r &= r - 1 {
 		i := bits.TrailingZeros64(r)
-		if rows, ok := ev.memo[q&^lattice.Bit(i)]; ok {
+		if rows, ok := ev.memo[q&^lattice.Bit(i)]; ok && (childRows == nil || rows.Len() < childRows.Len()) {
 			childEdge, childRows = i, rows
-			break
 		}
 	}
 	var rows *Rows
@@ -303,6 +327,8 @@ func (ev *Evaluator) Evaluate(q lattice.EdgeSet) (*Rows, error) {
 		return nil, err
 	}
 	ev.memo[q] = rows
+	ev.liveRows += rows.Len()
+	ev.peakLiveRows = max(ev.peakLiveRows, ev.liveRows)
 	return rows, nil
 }
 
@@ -310,7 +336,7 @@ func (ev *Evaluator) Evaluate(q lattice.EdgeSet) (*Rows, error) {
 // one at a time, always picking a next edge that shares a bound slot, with
 // the smallest table first (join selectivity dominates cost, §VI-D).
 // Intermediate row sets are recycled as soon as the next join supersedes
-// them — only the final result keeps its arena.
+// them or fails — only the final result keeps its arena.
 func (ev *Evaluator) evaluateScratch(q lattice.EdgeSet) (*Rows, error) {
 	remaining := ev.lat.EdgeIndices(q)
 	if len(remaining) == 0 {
@@ -358,10 +384,10 @@ func (ev *Evaluator) evaluateScratch(q lattice.EdgeSet) (*Rows, error) {
 			return nil, fmt.Errorf("exec: query graph %b is not weakly connected", q)
 		}
 		next, err := ev.joinEdge(rows, pick)
+		ev.recycle(rows) // superseded or failed intermediate: arena goes back to the pool
 		if err != nil {
 			return nil, err
 		}
-		ev.recycle(rows) // superseded intermediate: arena goes back to the pool
 		rows = next
 		bound[ev.srcSlot[pick]] = true
 		bound[ev.dstSlot[pick]] = true
@@ -395,6 +421,7 @@ func (ev *Evaluator) scanEdge(i int) (*Rows, error) {
 	for n, s := range subj {
 		if n%cancelCheckInterval == 0 {
 			if err := ev.ctxErr(); err != nil {
+				ev.recycle(out)
 				return nil, err
 			}
 		}
@@ -419,7 +446,8 @@ func (ev *Evaluator) scanEdge(i int) (*Rows, error) {
 // label table of edge i is the build relation. Depending on which endpoint
 // slots are already bound, the join verifies the edge, extends rows by one
 // new binding, or (never for valid lattice parents) both endpoints are new.
-// Output rows are appended to a fresh arena; the probe rows are not touched.
+// Output rows are appended to a fresh arena, sized by outputBound; the probe
+// rows are not touched. On failure the arena goes back to the free list.
 //
 //gqbe:hotpath
 func (ev *Evaluator) joinEdge(rows *Rows, i int) (*Rows, error) {
@@ -428,8 +456,54 @@ func (ev *Evaluator) joinEdge(rows *Rows, i int) (*Rows, error) {
 	if !ok {
 		return ev.newRows(0), nil // label with no edges: no answers
 	}
+	bound, err := ev.outputBound(rows, t, ss, ds)
+	if err != nil {
+		return nil, err
+	}
+	out := ev.newRows(bound)
+	if err := ev.probe(rows, out, t, i); err != nil {
+		ev.recycle(out)
+		return nil, err
+	}
+	return out, nil
+}
+
+// outputBound is joinEdge's sizing pass: the rows probing t can emit at most,
+// before injectivity filters any — one per verified edge, one per posting
+// of the bound endpoint otherwise — capped at maxRows+1, the most a join
+// writes before failing.
+//
+//gqbe:hotpath
+func (ev *Evaluator) outputBound(rows *Rows, t *storage.Table, ss, ds int) (int, error) {
+	bound := 0
+	for n := 0; n < rows.Len() && bound <= ev.maxRows; n++ {
+		if n%cancelCheckInterval == 0 {
+			if err := ev.ctxErr(); err != nil {
+				return 0, err
+			}
+		}
+		row := rows.Row(n)
+		switch bs, bd := row[ss] != Unbound, row[ds] != Unbound; {
+		case bs && bd:
+			bound++
+		case bs:
+			bound += t.OutDegree(row[ss])
+		case bd:
+			bound += t.InDegree(row[ds])
+		default:
+			bound += t.Len()
+		}
+	}
+	return min(bound, ev.maxRows+1), nil
+}
+
+// probe is joinEdge's write pass: it appends the join of rows with edge i's
+// table t to out.
+//
+//gqbe:hotpath
+func (ev *Evaluator) probe(rows, out *Rows, t *storage.Table, i int) error {
+	ss, ds := ev.srcSlot[i], ev.dstSlot[i]
 	nrows := rows.Len()
-	out := ev.newRows(nrows)
 	stride := out.stride
 	count := 0
 	// push copies src into the arena, then overwrites slot (when >= 0) with
@@ -452,7 +526,7 @@ func (ev *Evaluator) joinEdge(rows *Rows, i int) (*Rows, error) {
 	for n := 0; n < nrows; n++ {
 		if n%cancelCheckInterval == 0 {
 			if err := ev.ctxErr(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		row := rows.Row(n)
@@ -461,7 +535,7 @@ func (ev *Evaluator) joinEdge(rows *Rows, i int) (*Rows, error) {
 		case bs && bd:
 			if t.Has(row[ss], row[ds]) {
 				if err := push(row, -1, 0); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		case bs:
@@ -470,7 +544,7 @@ func (ev *Evaluator) joinEdge(rows *Rows, i int) (*Rows, error) {
 					continue
 				}
 				if err := push(row, ds, obj); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		case bd:
@@ -479,7 +553,7 @@ func (ev *Evaluator) joinEdge(rows *Rows, i int) (*Rows, error) {
 					continue
 				}
 				if err := push(row, ss, subj); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		default:
@@ -496,13 +570,13 @@ func (ev *Evaluator) joinEdge(rows *Rows, i int) (*Rows, error) {
 					continue
 				}
 				if err := push(row, ss, s); err != nil {
-					return nil, err
+					return err
 				}
 				out.data[len(out.data)-stride+ds] = o
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // conflicts reports whether binding v would violate injectivity against the

@@ -21,7 +21,7 @@ import (
 //	1: Yahoo! -headquartered_in-> Sunnyvale
 //	2: Sunnyvale -located_in-> California
 //	3: Jerry Yang -places_lived-> San Jose
-func fig1Fixture(t *testing.T) (*graph.Graph, *lattice.Lattice, *Evaluator) {
+func fig1Fixture(t *testing.T, opts ...Option) (*graph.Graph, *lattice.Lattice, *Evaluator) {
 	t.Helper()
 	g := testkg.Fig1()
 	lbl := func(s string) graph.LabelID {
@@ -48,7 +48,7 @@ func fig1Fixture(t *testing.T) (*graph.Graph, *lattice.Lattice, *Evaluator) {
 	if err != nil {
 		t.Fatalf("lattice.New: %v", err)
 	}
-	return g, l, New(storage.Build(g), l)
+	return g, l, New(storage.Build(g), l, opts...)
 }
 
 // tupleNames projects every row to entity names, sorted for comparison.
@@ -244,6 +244,39 @@ func TestRowBudget(t *testing.T) {
 	_, err = ev.Evaluate(lat.Full())
 	if !errors.Is(err, ErrTooManyRows) {
 		t.Errorf("want ErrTooManyRows with budget 3 vs 7 founded edges, got %v", err)
+	}
+}
+
+// TestFailedJoinRecyclesArena: a join that trips the row budget hands its
+// partly filled arena back to the free list, and the next evaluation reuses
+// it; a failing scratch evaluation also recycles its last intermediate.
+// Fig. 1's founded table (7 rows) overflows a budget of 4.
+func TestFailedJoinRecyclesArena(t *testing.T) {
+	_, _, ev := fig1Fixture(t, WithMaxRows(4))
+	if _, err := ev.Evaluate(lattice.Bit(1)); err != nil { // headquartered_in: 4 rows
+		t.Fatal(err)
+	}
+	if _, err := ev.Evaluate(lattice.Bit(0) | lattice.Bit(1)); !errors.Is(err, ErrTooManyRows) {
+		t.Fatalf("joining founded: got %v, want ErrTooManyRows", err)
+	}
+	if len(ev.free) != 1 {
+		t.Fatalf("%d arenas on the free list after the failed join, want 1", len(ev.free))
+	}
+	arena := ev.free[0][:1]
+	rows, err := ev.Evaluate(lattice.Bit(1) | lattice.Bit(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ev.free) != 0 || &rows.data[0] != &arena[0] {
+		t.Error("the next join cut a fresh arena instead of reusing the failed join's")
+	}
+
+	_, _, ev = fig1Fixture(t, WithMaxRows(4))
+	if _, err := ev.Evaluate(lattice.Bit(0) | lattice.Bit(1)); !errors.Is(err, ErrTooManyRows) {
+		t.Fatalf("scratch evaluation: got %v, want ErrTooManyRows", err)
+	}
+	if len(ev.free) != 2 {
+		t.Errorf("%d arenas on the free list after the failed scratch evaluation, want its scan and its join output", len(ev.free))
 	}
 }
 

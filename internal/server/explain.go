@@ -38,13 +38,15 @@ type explainMQG struct {
 
 // explainLattice summarizes the best-first lattice search (Alg. 2 + 3):
 // candidate nodes generated, evaluated, pruned unevaluated, evaluated-empty
-// (null), upper-frontier recomputations, and why the search stopped.
+// (null), upper-frontier recomputations, the most rows held at once, and
+// why the search stopped.
 type explainLattice struct {
 	Generated              int    `json:"generated"`
 	Evaluated              int    `json:"evaluated"`
 	Pruned                 int    `json:"pruned"`
 	Null                   int    `json:"null"`
 	FrontierRecomputations int    `json:"frontier_recomputations"`
+	PeakLiveRows           int    `json:"peak_live_rows"`
 	StopReason             string `json:"stop_reason"`
 }
 
@@ -196,6 +198,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			Pruned:                 res.Stats.NodesPruned,
 			Null:                   res.Stats.NullNodes,
 			FrontierRecomputations: res.Stats.FrontierRecomputes,
+			PeakLiveRows:           res.Stats.PeakLiveRows,
 			StopReason:             res.Stats.Stopped,
 		},
 		NodeEvals: toExplainNodeEvals(evals),

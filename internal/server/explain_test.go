@@ -88,6 +88,15 @@ func TestExplainBreakdown(t *testing.T) {
 	if nulls != res.Lattice.Null {
 		t.Errorf("null rows in table = %d, lattice.null = %d", nulls, res.Lattice.Null)
 	}
+	// The live rows peak at some node's rows at least, and never above all
+	// rows the search materialized.
+	maxRows, sumRows := 0, 0
+	for _, ne := range res.NodeEvals {
+		maxRows, sumRows = max(maxRows, ne.Rows), sumRows+ne.Rows
+	}
+	if res.Lattice.PeakLiveRows < maxRows || res.Lattice.PeakLiveRows > sumRows {
+		t.Errorf("lattice.peak_live_rows = %d, want within [%d, %d]", res.Lattice.PeakLiveRows, maxRows, sumRows)
+	}
 
 	if res.MQG == nil || len(res.MQG.Edges) != res.Stats.MQGEdges {
 		t.Fatalf("mqg rendering = %+v, want %d edges", res.MQG, res.Stats.MQGEdges)

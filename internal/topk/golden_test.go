@@ -40,7 +40,8 @@ type goldenEntry struct {
 	IncrementalJoins   int64      `json:"exec_incremental_joins"`
 	ScratchEvals       int64      `json:"exec_scratch_evals"`
 	// Rows is the sum of the evaluated nodes' row counts (NodeEval.Rows).
-	Rows int `json:"rows"`
+	Rows         int `json:"rows"`
+	PeakLiveRows int `json:"peak_live_rows"`
 }
 
 // poolEntries lists the light and heavy operations of the benchmark's
@@ -129,6 +130,7 @@ func searchGolden(t *testing.T, id string, names [][]string) goldenEntry {
 		Stopped:            res.Stopped,
 		IncrementalJoins:   attrs["exec_incremental_joins"],
 		ScratchEvals:       attrs["exec_scratch_evals"],
+		PeakLiveRows:       res.PeakLiveRows,
 	}
 	for _, a := range res.Answers {
 		g.Answers = append(g.Answers, fmt.Sprintf("%s %016x %016x %x",
@@ -171,6 +173,9 @@ func TestSearchGolden(t *testing.T) {
 		return
 	}
 	for i := range want {
+		if got[i].PeakLiveRows > got[i].Rows {
+			t.Errorf("%s: peak live rows %d exceed the %d rows materialized", got[i].ID, got[i].PeakLiveRows, got[i].Rows)
+		}
 		a, _ := json.Marshal(want[i])
 		b, _ := json.Marshal(got[i])
 		if !bytes.Equal(a, b) {
@@ -201,5 +206,19 @@ func writeGolden(t *testing.T, entries []goldenEntry) {
 	}
 	if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPeakLiveRowsBlowup pins the memory the search holds on the benchmark's
+// blowup operation, F7 row 9: the rows of the absorbed nodes a waiting parent
+// can still extend, well under the rows the search materializes.
+func TestPeakLiveRowsBlowup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("materializes 5.6 M rows")
+	}
+	kgFixture()
+	g := searchGolden(t, "F7/9", [][]string{benchDS.MustQuery("F7").Table[9]})
+	if g.PeakLiveRows != 3_030_512 || g.Rows != 5_651_151 {
+		t.Errorf("F7/9 holds %d live rows at its peak of %d materialized, want 3 030 512 of 5 651 151", g.PeakLiveRows, g.Rows)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"time"
@@ -141,6 +142,9 @@ type Result struct {
 	// FrontierRecomputes is the number of Alg. 3 upper-frontier
 	// recomputations (one per null node that invalidated the frontier).
 	FrontierRecomputes int
+	// PeakLiveRows is the most materialized rows the search held at once:
+	// the rows of the absorbed nodes a waiting parent could still extend.
+	PeakLiveRows int
 }
 
 // cancelCheckInterval is how many rows the scoring passes process between
@@ -230,6 +234,7 @@ func SearchCtx(ctx context.Context, store *storage.Store, lat *lattice.Lattice, 
 		upper:    []ufNode{{set: lat.Full(), sscore: lat.SScore(lat.Full())}},
 		inLF:     make(map[lattice.EdgeSet]bool),
 		done:     make(map[lattice.EdgeSet]bool),
+		waiting:  make(map[lattice.EdgeSet]int),
 		tuples:   newTupleMap(),
 		excluded: newTupleSet(exclude),
 	}
@@ -243,6 +248,7 @@ func SearchCtx(ctx context.Context, store *storage.Store, lat *lattice.Lattice, 
 		tr.Attr("exec_memo_hits", int64(hits))
 		tr.Attr("exec_incremental_joins", int64(inc))
 		tr.Attr("exec_scratch_evals", int64(scr))
+		tr.Attr("exec_peak_live_rows", int64(ev.PeakLiveRows()))
 	}
 	return res, err
 }
@@ -315,6 +321,12 @@ type searcher struct {
 	nulls []lattice.EdgeSet        // minimal null antichain; pruned = superset of any
 	upper []ufNode                 // upper frontier: maximal unpruned nodes
 	epoch int                      // bumped whenever upper changes
+	// waiting holds, per absorbed node whose rows are still memoized, how
+	// many of its parents are in the lower frontier. Only those parents can
+	// read the rows (a one-edge join in exec.Evaluate), so at zero the rows
+	// are released. A parent enters the frontier later only through a child
+	// absorbed just then, which stays memoized while the parent waits.
+	waiting map[lattice.EdgeSet]int
 
 	tuples   *tupleMap
 	excluded *tupleSet
@@ -376,10 +388,32 @@ func (s *searcher) pushLF(q lattice.EdgeSet) {
 	s.inLF[q] = true
 	s.generated++
 	heap.Push(&s.lf, lfEntry{q: q, ub: ub, own: s.lat.SScore(q), epoch: s.epoch})
+	s.addWaiting(q, 1)
+}
+
+// addWaiting adds d to the waiting count of every memoized child of the
+// frontier node p — +1 as p enters the frontier, −1 once it has left —
+// releasing a child's rows when its count reaches zero.
+func (s *searcher) addWaiting(p lattice.EdgeSet, d int) {
+	for r := uint64(p); r != 0; r &= r - 1 {
+		c := p &^ lattice.Bit(bits.TrailingZeros64(r))
+		n, ok := s.waiting[c]
+		if !ok {
+			continue
+		}
+		if n += d; n > 0 {
+			s.waiting[c] = n
+			continue
+		}
+		delete(s.waiting, c)
+		s.ev.Release(c)
+	}
 }
 
 // popBest returns the unpruned candidate with the highest current
-// upper-bound score, lazily refreshing stale bounds.
+// upper-bound score, lazily refreshing stale bounds. A candidate it drops
+// leaves the frontier here; the one it returns leaves once run has
+// evaluated it, since the evaluation still reads its children's rows.
 func (s *searcher) popBest() (lattice.EdgeSet, float64, bool) {
 	for s.lf.Len() > 0 {
 		e := heap.Pop(&s.lf).(lfEntry)
@@ -388,6 +422,7 @@ func (s *searcher) popBest() (lattice.EdgeSet, float64, bool) {
 		}
 		if s.pruned(e.q) {
 			delete(s.inLF, e.q)
+			s.addWaiting(e.q, -1)
 			s.prunedCount++
 			continue
 		}
@@ -395,6 +430,7 @@ func (s *searcher) popBest() (lattice.EdgeSet, float64, bool) {
 			ub, ok := s.upperBound(e.q)
 			if !ok {
 				delete(s.inLF, e.q)
+				s.addWaiting(e.q, -1)
 				s.prunedCount++
 				continue
 			}
@@ -461,6 +497,7 @@ func (s *searcher) run() (*Result, error) {
 		s.done[qbest] = true
 		s.consumed++
 		rows, dur, err := s.evaluate(qbest)
+		s.addWaiting(qbest, -1)
 		if err != nil {
 			if errors.Is(err, exec.ErrTooManyRows) {
 				// Join blow-up on this query graph (the paper's F4/F19
@@ -485,20 +522,31 @@ func (s *searcher) run() (*Result, error) {
 		if rows.Len() == 0 || empty {
 			// Null node (an answer set holding only the query tuple itself
 			// prunes the same way: every ancestor answer restricts to a
-			// child answer with the same projection).
+			// child answer with the same projection). Its ancestors are
+			// pruned, so nothing reads its rows again.
 			s.nullCount++
 			s.recordNull(qbest)
 			s.recordEval(qbest, ub, rows.Len(), true, false, dur)
+			s.ev.Release(qbest)
 			continue
 		}
 		s.recordEval(qbest, ub, rows.Len(), false, false, dur)
 		if err := s.absorb(qbest, rows); err != nil {
 			return s.interrupted(res, err)
 		}
+		waiting := 0
 		for _, p := range s.lat.Parents(qbest) {
 			if !s.done[p] && !s.inLF[p] && !s.pruned(p) {
 				s.pushLF(p)
 			}
+			if s.inLF[p] {
+				waiting++
+			}
+		}
+		if waiting > 0 {
+			s.waiting[qbest] = waiting
+		} else {
+			s.ev.Release(qbest)
 		}
 	}
 	if res.Stopped != StopMaxEvaluations && res.RowBudgetSkips > 0 {
@@ -520,6 +568,7 @@ func (s *searcher) finalize(res *Result) *Result {
 	res.NodesGenerated = s.generated
 	res.NodesPruned = s.prunedCount
 	res.FrontierRecomputes = s.epoch
+	res.PeakLiveRows = s.ev.PeakLiveRows()
 	res.Answers = s.rank()
 	return res
 }
