@@ -4,9 +4,9 @@
 // concurrency. Three mechanisms make the engine servable:
 //
 //   - a bounded worker-pool admission layer, so N concurrent lattice
-//     searches cannot exhaust memory (each search may materialize join
-//     results up to its row budget); excess load is shed with 429 after a
-//     bounded queue wait instead of queueing without limit;
+//     searches cannot exhaust memory (each search holds the rows of all its
+//     live lattice nodes, each up to the row budget); excess load is shed
+//     with 429 after a bounded queue wait instead of queueing without limit;
 //   - a sharded LRU result cache keyed by the normalized (tuples, options)
 //     request, with hit/miss/eviction counters — identical repeat queries
 //     are answered without touching the engine;
