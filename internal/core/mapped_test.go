@@ -1,15 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"gqbe/internal/fault"
 	"gqbe/internal/kgsynth"
 	"gqbe/internal/snapio"
+	"gqbe/internal/triples"
 )
 
 // mappedFixture builds the standard engine, snapshots it to disk, and
@@ -230,4 +234,76 @@ func TestHeapEngineCloseNoop(t *testing.T) {
 	if !eng.Closed() {
 		t.Error("Closed() false after Close")
 	}
+}
+
+// TestSnapshotOpenAllocations pins the mapped open's claim in bytes
+// allocated, which do not depend on the machine: a warm OpenSnapshotMapped
+// borrows its columns from the mapping and allocates at most a quarter of
+// the snapshot's size, while the heap load copies at least the whole
+// snapshot and a cold parse+build allocates at least four times what the
+// mapped open does.
+func TestSnapshotOpenAllocations(t *testing.T) {
+	built, path := mappedFixture(t)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapBytes := uint64(st.Size())
+	var tsv bytes.Buffer
+	if err := triples.Write(&tsv, built.Graph()); err != nil {
+		t.Fatal(err)
+	}
+
+	// The first mapped open also allocates snapio's pooled 1 MiB checksum
+	// buffer, and under the race detector sync.Pool drops a random share of
+	// the buffers put back, so an open may pay for it again: take the
+	// cheapest of 20 warm opens.
+	mapped := minAllocBytes(t, 20, func() error {
+		eng, err := OpenSnapshotMapped(path)
+		if err != nil {
+			return err
+		}
+		return eng.Close()
+	})
+	heap := minAllocBytes(t, 1, func() error {
+		_, err := LoadSnapshotFile(path)
+		return err
+	})
+	build := minAllocBytes(t, 1, func() error {
+		g, err := triples.LoadGraph(bytes.NewReader(tsv.Bytes()))
+		if err == nil {
+			NewEngine(g)
+		}
+		return err
+	})
+	t.Logf("snapshot %d B; allocated per open: mapped %d B, heap %d B, parse+build %d B", snapBytes, mapped, heap, build)
+	if mapped > snapBytes/4 {
+		t.Errorf("mapped open allocates %d B, more than a quarter of the %d B snapshot", mapped, snapBytes)
+	}
+	if heap < snapBytes {
+		t.Errorf("heap load allocates %d B, less than the %d B snapshot it copies", heap, snapBytes)
+	}
+	if build < 4*mapped {
+		t.Errorf("parse+build allocates %d B, less than 4× the mapped open's %d B", build, mapped)
+	}
+}
+
+// minAllocBytes runs f once to warm pools and caches, then returns the
+// fewest heap bytes any of runs further calls allocates.
+func minAllocBytes(t *testing.T, runs int, f func() error) uint64 {
+	t.Helper()
+	if err := f(); err != nil {
+		t.Fatal(err)
+	}
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&before)
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

@@ -91,15 +91,6 @@ func NewSuite(cfg kgsynth.Config, params Params) *Suite {
 	}
 }
 
-// ResetCache discards all memoized per-query runs, so benchmarks can time
-// repeated executions instead of cache hits. The datasets and engines
-// (offline state) are kept.
-func (s *Suite) ResetCache() {
-	s.gqbeRuns = make(map[string]*gqbeRun)
-	s.nessRuns = make(map[string]*nessRun)
-	s.baselineRuns = make(map[string]*baselineRun)
-}
-
 // dsFor returns the dataset and engine owning a query ID (F* or D*).
 func (s *Suite) dsFor(id string) (*kgsynth.Dataset, *core.Engine) {
 	if strings.HasPrefix(id, "D") {

@@ -74,7 +74,8 @@ func TestTracerEndClosesDescendants(t *testing.T) {
 }
 
 // TestTracerNilSafe is the zero-overhead contract: every call on a disabled
-// (nil) tracer and on the nil spans it hands out must be a safe no-op.
+// (nil) tracer and on the nil spans it hands out must be a safe no-op that
+// allocates nothing.
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
 	if tr.Enabled() {
@@ -96,6 +97,16 @@ func TestTracerNilSafe(t *testing.T) {
 	}
 	if got := tr.Root(); got != nil {
 		t.Errorf("nil tracer Root = %v, want nil", got)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		sp := tr.Start("x")
+		sp.SetAttr("k", 1)
+		sp.End()
+		tr.Attr("k", 1)
+		tr.AddNodeEval(NodeEval{Node: 1})
+	})
+	if allocs != 0 {
+		t.Errorf("nil tracer allocates %v times per call sequence, want 0", allocs)
 	}
 }
 

@@ -22,11 +22,17 @@ var update = flag.Bool("update", false, "rewrite testdata/search_golden.json fro
 
 const goldenPath = "testdata/search_golden.json"
 
-// goldenEntry is one recorded search: the answers and every work counter of
-// a default-option (K 10) search over the kgsynth Freebase graph, seed 42.
+// goldenEntry is one recorded search: the edge counts of the front half and
+// the answers and every work counter of a default-option (K 10) search over
+// the kgsynth Freebase graph, seed 42.
 type goldenEntry struct {
 	ID     string     `json:"id"`
 	Tuples [][]string `json:"tuples"`
+	// HtEdges and ReducedEdges are each tuple's neighborhood H_t and reduced
+	// neighborhood sizes; MQGEdges is the size of the (merged) MQG searched.
+	HtEdges      []int `json:"ht_edges"`
+	ReducedEdges []int `json:"reduced_edges"`
+	MQGEdges     int   `json:"mqg_edges"`
 	// Answers are "tuple-key score-bits sscore-bits best-graph", ranked.
 	Answers            []string   `json:"answers"`
 	NodesEvaluated     int        `json:"nodes_evaluated"`
@@ -81,16 +87,19 @@ func searchGolden(t *testing.T, id string, names [][]string) goldenEntry {
 	ctx := context.Background()
 	var tuples [][]graph.NodeID
 	var mqgs []*mqg.MQG
+	var htEdges, reducedEdges []int
 	for _, n := range names {
-		tuple, err := benchDS.Tuple(n)
+		tuple, err := kgDS.Tuple(n)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		nres, err := neighborhood.ExtractCtx(ctx, benchDS.Graph, tuple, 2)
+		nres, err := neighborhood.ExtractCtx(ctx, kgDS.Graph, tuple, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		m, err := mqg.DiscoverCtx(ctx, benchEst, nres.Reduced, tuple, 15)
+		htEdges = append(htEdges, nres.Ht.NumEdges())
+		reducedEdges = append(reducedEdges, nres.Reduced.NumEdges())
+		m, err := mqg.DiscoverCtx(ctx, kgEst, nres.Reduced, tuple, 15)
 		nres.Release()
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
@@ -110,7 +119,7 @@ func searchGolden(t *testing.T, id string, names [][]string) goldenEntry {
 		t.Fatalf("%s: %v", id, err)
 	}
 	tr := obs.New()
-	res, err := SearchCtx(ctx, benchSt, lat, tuples, Options{K: 10, Tracer: tr})
+	res, err := SearchCtx(ctx, kgSt, lat, tuples, Options{K: 10, Tracer: tr})
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -120,6 +129,7 @@ func searchGolden(t *testing.T, id string, names [][]string) goldenEntry {
 	}
 	g := goldenEntry{
 		ID: id, Tuples: names,
+		HtEdges: htEdges, ReducedEdges: reducedEdges, MQGEdges: m.Sub.NumEdges(),
 		NodesEvaluated:     res.NodesEvaluated,
 		NullNodes:          res.NullNodes,
 		NodesGenerated:     res.NodesGenerated,
@@ -142,8 +152,9 @@ func searchGolden(t *testing.T, id string, names [][]string) goldenEntry {
 	return g
 }
 
-// TestSearchGolden pins the search's answers, score bits and work counters
-// on every light and heavy benchmark operation. A change that alters any of
+// TestSearchGolden pins the front half's edge counts and the search's
+// answers, score bits and work counters on every light and heavy benchmark
+// operation. A change that alters any of
 // them — an optimization that should be exact, or a trajectory change that
 // should be deliberate — shows up as a line diff of the golden file after
 // `go test ./internal/topk -run TestSearchGolden -update`.
@@ -217,7 +228,7 @@ func TestPeakLiveRowsBlowup(t *testing.T) {
 		t.Skip("materializes 5.6 M rows")
 	}
 	kgFixture()
-	g := searchGolden(t, "F7/9", [][]string{benchDS.MustQuery("F7").Table[9]})
+	g := searchGolden(t, "F7/9", [][]string{kgDS.MustQuery("F7").Table[9]})
 	if g.PeakLiveRows != 3_030_512 || g.Rows != 5_651_151 {
 		t.Errorf("F7/9 holds %d live rows at its peak of %d materialized, want 3 030 512 of 5 651 151", g.PeakLiveRows, g.Rows)
 	}

@@ -89,16 +89,16 @@ func TestParallelSearchOracleFig1(t *testing.T) {
 
 // TestParallelSearchOracleKGSynth is the realistic-graph half of the oracle:
 // the kgsynth Freebase-like graph (seed 42, the repo's benchmark graph) with
-// the two workload queries the engine microbenches run.
+// the fixture's two workload queries, F1 and F18.
 func TestParallelSearchOracleKGSynth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kgsynth graph build in -short mode")
 	}
 	kgFixture()
-	for _, id := range benchQuery {
+	for _, id := range kgQuery {
 		t.Run(id, func(t *testing.T) {
-			checkParallelOracle(t, id, benchSt, benchLats[id],
-				[][]graph.NodeID{benchTups[id]}, Options{K: 25})
+			checkParallelOracle(t, id, kgSt, kgLats[id],
+				[][]graph.NodeID{kgTups[id]}, Options{K: 25})
 		})
 	}
 }

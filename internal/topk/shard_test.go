@@ -106,10 +106,10 @@ func TestShardOracleKGSynth(t *testing.T) {
 		t.Skip("kgsynth graph build in -short mode")
 	}
 	kgFixture()
-	for _, id := range benchQuery {
+	for _, id := range kgQuery {
 		t.Run(id, func(t *testing.T) {
-			checkShardOracle(t, id, benchSt, benchLats[id],
-				[][]graph.NodeID{benchTups[id]}, Options{K: 25})
+			checkShardOracle(t, id, kgSt, kgLats[id],
+				[][]graph.NodeID{kgTups[id]}, Options{K: 25})
 		})
 	}
 }

@@ -254,8 +254,8 @@ func SearchCtx(ctx context.Context, store *storage.Store, lat *lattice.Lattice, 
 }
 
 // evaluate is the evaluator's Evaluate, timed only when tracing is on (the
-// disabled-tracing path must not pay for time.Now — see
-// BenchmarkSearchTraced).
+// disabled-tracing path must not pay for time.Now; the benchmark's
+// trace.overhead_share metric reports what tracing costs).
 func (s *searcher) evaluate(q lattice.EdgeSet) (*exec.Rows, time.Duration, error) {
 	if s.tr == nil {
 		rows, err := s.ev.Evaluate(q)

@@ -343,8 +343,8 @@ func TestRowBudgetStopReason(t *testing.T) {
 			t.Skip("kgsynth graph build in -short mode")
 		}
 		kgFixture()
-		res, err := SearchCtx(context.Background(), benchSt, benchLats["F18"],
-			[][]graph.NodeID{benchTups["F18"]}, Options{K: 10, MaxRows: 100})
+		res, err := SearchCtx(context.Background(), kgSt, kgLats["F18"],
+			[][]graph.NodeID{kgTups["F18"]}, Options{K: 10, MaxRows: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
