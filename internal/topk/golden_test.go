@@ -18,9 +18,12 @@ import (
 	"gqbe/internal/obs"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/search_golden.json from the current search")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata from the current search")
 
-const goldenPath = "testdata/search_golden.json"
+const (
+	goldenPath       = "testdata/search_golden.json"
+	kPrimeGoldenPath = "testdata/kprime_golden.json"
+)
 
 // goldenEntry is one recorded search: the edge counts of the front half and
 // the answers and every work counter of a default-option (K 10) search over
@@ -80,14 +83,15 @@ func poolEntries(t *testing.T) []goldenEntry {
 	return out
 }
 
-// searchGolden runs one entry's pipeline at the engine's defaults (depth 2,
-// MQG size 15, K 10) and records its result.
-func searchGolden(t *testing.T, id string, names [][]string) goldenEntry {
+// frontHalf runs one entry's pipeline up to the lattice at the engine's
+// defaults (depth 2, MQG size 15) and records the front half's edge counts
+// into a new golden entry.
+func frontHalf(t *testing.T, id string, names [][]string) (goldenEntry, *lattice.Lattice, [][]graph.NodeID) {
 	t.Helper()
 	ctx := context.Background()
 	var tuples [][]graph.NodeID
 	var mqgs []*mqg.MQG
-	var htEdges, reducedEdges []int
+	g := goldenEntry{ID: id, Tuples: names}
 	for _, n := range names {
 		tuple, err := kgDS.Tuple(n)
 		if err != nil {
@@ -97,8 +101,8 @@ func searchGolden(t *testing.T, id string, names [][]string) goldenEntry {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		htEdges = append(htEdges, nres.Ht.NumEdges())
-		reducedEdges = append(reducedEdges, nres.Reduced.NumEdges())
+		g.HtEdges = append(g.HtEdges, nres.Ht.NumEdges())
+		g.ReducedEdges = append(g.ReducedEdges, nres.Reduced.NumEdges())
 		m, err := mqg.DiscoverCtx(ctx, kgEst, nres.Reduced, tuple, 15)
 		nres.Release()
 		if err != nil {
@@ -114,10 +118,31 @@ func searchGolden(t *testing.T, id string, names [][]string) goldenEntry {
 			t.Fatalf("%s: %v", id, err)
 		}
 	}
+	g.MQGEdges = m.Sub.NumEdges()
 	lat, err := lattice.NewCtx(ctx, m)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
+	return g, lat, tuples
+}
+
+// answerLines renders ranked answers as "tuple-key score-bits sscore-bits
+// best-graph" lines.
+func answerLines(answers []Answer) []string {
+	var out []string
+	for _, a := range answers {
+		out = append(out, fmt.Sprintf("%s %016x %016x %x",
+			TupleKey(a.Tuple), math.Float64bits(a.Score), math.Float64bits(a.SScore), uint64(a.BestGraph)))
+	}
+	return out
+}
+
+// searchGolden runs one entry's pipeline at the engine's defaults (depth 2,
+// MQG size 15, K 10) and records its result.
+func searchGolden(t *testing.T, id string, names [][]string) goldenEntry {
+	t.Helper()
+	ctx := context.Background()
+	g, lat, tuples := frontHalf(t, id, names)
 	tr := obs.New()
 	res, err := SearchCtx(ctx, kgSt, lat, tuples, Options{K: 10, Tracer: tr})
 	if err != nil {
@@ -127,25 +152,18 @@ func searchGolden(t *testing.T, id string, names [][]string) goldenEntry {
 	for _, a := range tr.Finish().Attrs {
 		attrs[a.Key] = a.Val
 	}
-	g := goldenEntry{
-		ID: id, Tuples: names,
-		HtEdges: htEdges, ReducedEdges: reducedEdges, MQGEdges: m.Sub.NumEdges(),
-		NodesEvaluated:     res.NodesEvaluated,
-		NullNodes:          res.NullNodes,
-		NodesGenerated:     res.NodesGenerated,
-		NodesPruned:        res.NodesPruned,
-		FrontierRecomputes: res.FrontierRecomputes,
-		TuplesSeen:         res.TuplesSeen,
-		RowBudgetSkips:     res.RowBudgetSkips,
-		Stopped:            res.Stopped,
-		IncrementalJoins:   attrs["exec_incremental_joins"],
-		ScratchEvals:       attrs["exec_scratch_evals"],
-		PeakLiveRows:       res.PeakLiveRows,
-	}
-	for _, a := range res.Answers {
-		g.Answers = append(g.Answers, fmt.Sprintf("%s %016x %016x %x",
-			TupleKey(a.Tuple), math.Float64bits(a.Score), math.Float64bits(a.SScore), uint64(a.BestGraph)))
-	}
+	g.NodesEvaluated = res.NodesEvaluated
+	g.NullNodes = res.NullNodes
+	g.NodesGenerated = res.NodesGenerated
+	g.NodesPruned = res.NodesPruned
+	g.FrontierRecomputes = res.FrontierRecomputes
+	g.TuplesSeen = res.TuplesSeen
+	g.RowBudgetSkips = res.RowBudgetSkips
+	g.Stopped = res.Stopped
+	g.IncrementalJoins = attrs["exec_incremental_joins"]
+	g.ScratchEvals = attrs["exec_scratch_evals"]
+	g.PeakLiveRows = res.PeakLiveRows
+	g.Answers = answerLines(res.Answers)
 	for _, e := range tr.NodeEvals() {
 		g.Rows += e.Rows
 	}
@@ -180,7 +198,7 @@ func TestSearchGolden(t *testing.T) {
 		got[i] = searchGolden(t, w.ID, w.Tuples)
 	}
 	if *update {
-		writeGolden(t, got)
+		writeGolden(t, goldenPath, got)
 		return
 	}
 	for i := range want {
@@ -196,7 +214,7 @@ func TestSearchGolden(t *testing.T) {
 }
 
 // writeGolden writes one entry per line, so a change reads as a line diff.
-func writeGolden(t *testing.T, entries []goldenEntry) {
+func writeGolden[E any](t *testing.T, path string, entries []E) {
 	t.Helper()
 	var buf bytes.Buffer
 	buf.WriteString("[\n")
@@ -212,11 +230,86 @@ func writeGolden(t *testing.T, entries []goldenEntry) {
 		buf.WriteByte('\n')
 	}
 	buf.WriteString("]\n")
-	if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// kPrimeEntry is one golden search at a reduced stage-1 pool size: why it
+// stopped, how many lattice nodes it evaluated and its ranked answers.
+type kPrimeEntry struct {
+	ID             string     `json:"id"`
+	KPrime         int        `json:"kprime"`
+	Stopped        StopReason `json:"stopped"`
+	NodesEvaluated int        `json:"nodes_evaluated"`
+	Answers        []string   `json:"answers"`
+}
+
+// kPrimes are the reduced pool sizes TestKPrimeGolden pins: brownout's
+// clamp (32) and the smallest pool K 10 allows.
+var kPrimes = []int{10, 32}
+
+// TestKPrimeGolden pins the Theorem 4 path: with a small k′ the k′-th best
+// structure score is reached early, so the test stops some searches
+// (StopProven) that run to exhaustion at the default k′ of 100. Every
+// light and heavy benchmark operation is searched at K 10 and each k′ in
+// kPrimes; totals over the file are ROADMAP item 23(a)'s k′ rows. Refresh
+// with `go test ./internal/topk -run TestKPrimeGolden -update`.
+func TestKPrimeGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 500 searches on the kgsynth graph")
+	}
+	kgFixture()
+	var ops []goldenEntry
+	var want []kPrimeEntry
+	if *update {
+		ops = poolEntries(t)
+	} else {
+		data, err := os.ReadFile(kPrimeGoldenPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+		data, err = os.ReadFile(goldenPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []kPrimeEntry
+	for _, op := range ops {
+		_, lat, tuples := frontHalf(t, op.ID, op.Tuples)
+		for _, kp := range kPrimes {
+			res, err := SearchCtx(context.Background(), kgSt, lat, tuples, Options{K: 10, KPrime: kp})
+			if err != nil {
+				t.Fatalf("%s k′ %d: %v", op.ID, kp, err)
+			}
+			got = append(got, kPrimeEntry{
+				ID: op.ID, KPrime: kp, Stopped: res.Stopped,
+				NodesEvaluated: res.NodesEvaluated, Answers: answerLines(res.Answers),
+			})
+		}
+	}
+	if *update {
+		writeGolden(t, kPrimeGoldenPath, got)
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d k′ searches, golden file has %d", len(got), len(want))
+	}
+	for i := range want {
+		a, _ := json.Marshal(want[i])
+		b, _ := json.Marshal(got[i])
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s at k′ %d differs from the golden file:\n want %s\n got  %s", want[i].ID, want[i].KPrime, a, b)
+		}
 	}
 }
 
