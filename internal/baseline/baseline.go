@@ -119,6 +119,7 @@ func Search(store *storage.Store, lat *lattice.Lattice, exclude [][]graph.NodeID
 		}
 		nonExcluded := 0
 		sScore := lat.SScore(q)
+		slots := sc.Slots(nil, q)
 		for i := 0; i < rows.Len(); i++ {
 			row := rows.Row(i)
 			tuple := ev.TupleOf(row)
@@ -127,7 +128,7 @@ func Search(store *storage.Store, lat *lattice.Lattice, exclude [][]graph.NodeID
 				continue
 			}
 			nonExcluded++
-			full := sScore + sc.CScore(q, row)
+			full := sScore + sc.CScore(q, sc.Mask(slots, row))
 			c, ok := tuples[k]
 			if !ok {
 				c = &cand{tuple: append([]graph.NodeID(nil), tuple...)}

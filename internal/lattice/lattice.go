@@ -22,8 +22,15 @@ import (
 )
 
 // MaxEdges is the largest MQG the lattice supports; Alg. 1 targets r≈15
-// edges, so a 64-bit set is ample.
-const MaxEdges = 64
+// edges, so a 64-bit set is ample. It is 63, not 64, so that a connected
+// MQG's nodes fit one 64-bit set as well: internal/scoring keys content
+// scores by a per-node match mask.
+const MaxEdges = 63
+
+// MaxNodes is the most distinct MQG nodes the lattice supports, the node
+// count of a connected MQG at MaxEdges. Only a disconnected MQG can exceed
+// it within the edge cap.
+const MaxNodes = MaxEdges + 1
 
 // EdgeSet is a query graph: bit i set means edge i of the MQG is present.
 type EdgeSet uint64
@@ -86,6 +93,9 @@ func NewCtx(ctx context.Context, m *mqg.MQG) (*Lattice, error) {
 		l.dstIdx = append(l.dstIdx, di)
 		l.incident[si] |= Bit(i)
 		l.incident[di] |= Bit(i)
+	}
+	if len(l.nodes) > MaxNodes {
+		return nil, fmt.Errorf("lattice: MQG has %d nodes, max %d", len(l.nodes), MaxNodes)
 	}
 	for _, v := range m.Tuple {
 		i, ok := l.nodeIdx[v]
@@ -285,7 +295,7 @@ func (l *Lattice) spanningTrees(ctx context.Context, emit func([]int) error) err
 	var chosen []int
 	steps := 0
 	// parent array union-find with rollback via full copies: the graphs are
-	// tiny (≤ 64 edges, ≤ 65 nodes), so simplicity wins.
+	// tiny (≤ MaxEdges edges, ≤ MaxNodes nodes), so simplicity wins.
 	var rec func(next int, parent []int, count int) error
 	find := func(parent []int, x int) int {
 		for parent[x] != x {

@@ -239,6 +239,48 @@ func TestNewErrors(t *testing.T) {
 	}
 }
 
+// path returns an n-edge path MQG whose two ends are the query entities.
+func path(n int) *mqg.MQG {
+	m := &mqg.MQG{}
+	var edges []graph.Edge
+	for i := 0; i < n; i++ {
+		edges = append(edges, graph.Edge{Src: graph.NodeID(i), Label: 0, Dst: graph.NodeID(i + 1)})
+		m.Weights = append(m.Weights, 1)
+		m.Depths = append(m.Depths, 1)
+	}
+	m.Sub = graph.NewSubGraph(edges)
+	m.Tuple = []graph.NodeID{0, graph.NodeID(n)}
+	return m
+}
+
+// TestMaxEdgesFitsNodeMask pins the size limits a 64-bit per-node mask needs:
+// a connected MQG at MaxEdges has MaxNodes = 64 nodes and is accepted, one
+// edge more is refused, and so is a disconnected MQG within the edge cap
+// whose nodes outnumber MaxNodes.
+func TestMaxEdgesFitsNodeMask(t *testing.T) {
+	l, err := NewCtx(context.Background(), path(63))
+	if err != nil {
+		t.Fatalf("63-edge MQG refused: %v", err)
+	}
+	if l.NumEdges() != 63 || len(l.nodes) != 64 {
+		t.Errorf("63-edge path has %d edges and %d nodes, want 63 and 64", l.NumEdges(), len(l.nodes))
+	}
+	if _, err := NewCtx(context.Background(), path(64)); err == nil {
+		t.Error("64-edge MQG accepted")
+	}
+	m := path(1)
+	edges := m.Sub.Edges
+	for i := 0; i < 40; i++ {
+		edges = append(edges, graph.Edge{Src: graph.NodeID(100 + 2*i), Label: 0, Dst: graph.NodeID(101 + 2*i)})
+		m.Weights = append(m.Weights, 1)
+		m.Depths = append(m.Depths, 1)
+	}
+	m.Sub = graph.NewSubGraph(edges)
+	if _, err := NewCtx(context.Background(), m); err == nil {
+		t.Error("41-edge MQG with 82 nodes accepted")
+	}
+}
+
 func TestDisconnectedEntitiesNoTrees(t *testing.T) {
 	m := &mqg.MQG{
 		Sub: graph.NewSubGraph([]graph.Edge{

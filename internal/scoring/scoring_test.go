@@ -66,6 +66,11 @@ func rowFor(t *testing.T, g *graph.Graph, ev *exec.Evaluator, q lattice.EdgeSet,
 	return nil
 }
 
+// cscore scores row as an answer graph of q through its match mask.
+func cscore(sc *Scorer, q lattice.EdgeSet, row exec.Row) float64 {
+	return sc.CScore(q, sc.Mask(sc.Slots(nil, q), row))
+}
+
 func TestIncidentCounts(t *testing.T) {
 	g, _, ev, sc := fixture(t)
 	cases := map[string]int{
@@ -76,7 +81,7 @@ func TestIncidentCounts(t *testing.T) {
 		if !ok {
 			t.Fatalf("no slot for %s", name)
 		}
-		if got := sc.IncidentCount(slot); got != want {
+		if got := sc.incident[slot]; got != want {
 			t.Errorf("|E(%s)| = %d, want %d", name, got, want)
 		}
 	}
@@ -89,7 +94,7 @@ func TestCScoreIdentityRow(t *testing.T) {
 	// lived: 1/min(2,1)=1. Total 6.5.
 	g, lat, ev, sc := fixture(t)
 	row := rowFor(t, g, ev, lat.Full(), "Jerry Yang")
-	if got := sc.CScore(lat.Full(), row); math.Abs(got-6.5) > 1e-12 {
+	if got := cscore(sc, lat.Full(), row); math.Abs(got-6.5) > 1e-12 {
 		t.Errorf("identity c_score = %v, want 6.5", got)
 	}
 }
@@ -100,7 +105,7 @@ func TestCScoreWozniakRow(t *testing.T) {
 	// San Jose (edge 3, one side: 1/1=1). Total 3.
 	g, lat, ev, sc := fixture(t)
 	row := rowFor(t, g, ev, lat.Full(), "Steve Wozniak")
-	if got := sc.CScore(lat.Full(), row); math.Abs(got-3.0) > 1e-12 {
+	if got := cscore(sc, lat.Full(), row); math.Abs(got-3.0) > 1e-12 {
 		t.Errorf("Wozniak c_score = %v, want 3", got)
 	}
 }
@@ -111,20 +116,28 @@ func TestCScoreRestrictedToQueryGraph(t *testing.T) {
 	g, _, ev, sc := fixture(t)
 	q := lattice.Bit(0) | lattice.Bit(3)
 	row := rowFor(t, g, ev, q, "Steve Wozniak")
-	if got := sc.CScore(q, row); math.Abs(got-1.0) > 1e-12 {
+	if got := cscore(sc, q, row); math.Abs(got-1.0) > 1e-12 {
 		t.Errorf("restricted c_score = %v, want 1", got)
 	}
 }
 
 func TestFullScore(t *testing.T) {
+	// score_Q(A) = s_score(Q) + c_score_Q(A) (Eq. 5): the Wozniak row under
+	// the full MQG scores 10 + 3.
 	g, lat, ev, sc := fixture(t)
 	row := rowFor(t, g, ev, lat.Full(), "Steve Wozniak")
-	want := sc.SScore(lat.Full()) + sc.CScore(lat.Full(), row)
-	if got := sc.Full(lat.Full(), row); math.Abs(got-want) > 1e-12 {
-		t.Errorf("Full = %v, want %v", got, want)
-	}
 	if math.Abs(sc.SScore(lat.Full())-10) > 1e-12 {
 		t.Errorf("SScore(full) = %v, want 10", sc.SScore(lat.Full()))
+	}
+	if got := sc.SScore(lat.Full()) + cscore(sc, lat.Full(), row); math.Abs(got-13) > 1e-12 {
+		t.Errorf("Wozniak score = %v, want 13", got)
+	}
+}
+
+func TestCScoreZeroMask(t *testing.T) {
+	_, lat, _, sc := fixture(t)
+	if got := sc.CScore(lat.Full(), 0); got != 0 {
+		t.Errorf("c_score of the empty mask = %v, want 0", got)
 	}
 }
 
@@ -134,12 +147,18 @@ func TestCScoreNoIdenticalNodes(t *testing.T) {
 	g, _, ev, sc := fixture(t)
 	q := lattice.Bit(0) | lattice.Bit(1)
 	row := rowFor(t, g, ev, q, "Bill Gates")
-	if got := sc.CScore(q, row); got != 0 {
+	if got := cscore(sc, q, row); got != 0 {
 		t.Errorf("Gates c_score = %v, want 0", got)
 	}
 }
 
-func TestVirtualEntitiesNeverMatchIdentically(t *testing.T) {
+// virtualFixture is a two-edge MQG whose tuple slots are virtual entities
+// w1, w2 (as in a merged multi-tuple MQG):
+//
+//	0: w1 -founded-> w2                    (w=2)
+//	1: w2 -headquartered_in-> Sunnyvale    (w=1)
+func virtualFixture(t *testing.T) (*graph.Graph, *exec.Evaluator, *Scorer) {
+	t.Helper()
 	g := testkg.Fig1()
 	lbl, _ := g.Label("founded")
 	hq, _ := g.Label("headquartered_in")
@@ -158,7 +177,12 @@ func TestVirtualEntitiesNeverMatchIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := exec.New(storage.Build(g), lat)
-	sc := New(lat, ev)
+	return g, ev, New(lat, ev)
+}
+
+func TestVirtualEntitiesNeverMatchIdentically(t *testing.T) {
+	g, ev, sc := virtualFixture(t)
+	lat := sc.lat
 	rows, err := ev.Evaluate(lat.Full())
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +190,7 @@ func TestVirtualEntitiesNeverMatchIdentically(t *testing.T) {
 	for i := 0; i < rows.Len(); i++ {
 		row := rows.Row(i)
 		tu := ev.TupleOf(row)
-		c := sc.CScore(lat.Full(), row)
+		c := cscore(sc, lat.Full(), row)
 		// Only the Sunnyvale binding can earn credit; w1/w2 never do.
 		if g.Name(tu[1]) == "Yahoo!" {
 			if math.Abs(c-1.0) > 1e-12 { // hq edge: 1/|E(Sunnyvale)| = 1/1
@@ -175,5 +199,34 @@ func TestVirtualEntitiesNeverMatchIdentically(t *testing.T) {
 		} else if c != 0 {
 			t.Errorf("row %s|%s c_score = %v, want 0", g.Name(tu[0]), g.Name(tu[1]), c)
 		}
+	}
+}
+
+// TestMaskIgnoresRowBindingVirtualNode binds a virtual slot to the virtual
+// node itself. No data row can hold a negative ID, but the mask must still
+// leave the slot out: a virtual entity never matches identically.
+func TestMaskIgnoresRowBindingVirtualNode(t *testing.T) {
+	_, ev, sc := virtualFixture(t)
+	full := sc.lat.Full()
+	slots := sc.Slots(nil, full)
+	w1, _ := ev.SlotOf(mqg.VirtualNode(0))
+	w2, _ := ev.SlotOf(mqg.VirtualNode(1))
+	sv := -1
+	for _, slot := range slots {
+		if slot == w1 || slot == w2 {
+			t.Errorf("Slots lists virtual slot %d", slot)
+		}
+		sv = slot
+	}
+	if len(slots) != 1 || mqg.IsVirtual(ev.NodeAt(sv)) {
+		t.Fatalf("Slots = %v, want only Sunnyvale's slot", slots)
+	}
+	row := make(exec.Row, ev.NumSlots())
+	row[w1], row[w2], row[sv] = mqg.VirtualNode(0), mqg.VirtualNode(1), ev.NodeAt(sv)
+	if m := sc.Mask(slots, row); m != 1<<uint(sv) {
+		t.Errorf("mask = %b, want only Sunnyvale's bit %b", m, uint64(1)<<uint(sv))
+	}
+	if got := sc.CScore(full, ^uint64(0)); math.Abs(got-1) > 1e-12 {
+		t.Errorf("c_score with every bit set = %v, want 1 (Sunnyvale only)", got)
 	}
 }

@@ -60,7 +60,7 @@ import (
 // must not be able to raise the row budget (or blow up the lattice) past
 // what the operator provisioned for. The MQG cap stays near the paper's
 // r≈15: minimal-tree enumeration visits every spanning tree of the MQG,
-// which grows exponentially with its edge count, so the library's 64-edge
+// which grows exponentially with its edge count, so the library's 63-edge
 // ceiling is not safe to expose to untrusted clients.
 const (
 	maxClientK       = 1000

@@ -201,12 +201,27 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// candidate tracks the best scores seen for one answer tuple.
+// candidate tracks the best scores seen for one answer tuple. A query tuple
+// is a candidate with excluded set: it is never an answer, and a node whose
+// rows all project to query tuples is null.
 type candidate struct {
 	tuple     []graph.NodeID
 	bestS     float64
 	bestFull  float64
 	bestGraph lattice.EdgeSet
+	excluded  bool
+}
+
+// binds reports whether row binds the entity slots ents to c's tuple.
+//
+//gqbe:hotpath
+func (c *candidate) binds(row exec.Row, ents []int) bool {
+	for i, slot := range ents {
+		if row[slot] != c.tuple[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // SearchCtx runs Alg. 2 over the lattice lat against store, excluding the
@@ -225,18 +240,23 @@ func SearchCtx(ctx context.Context, store *storage.Store, lat *lattice.Lattice, 
 	sc := scoring.New(lat, ev)
 
 	s := &searcher{
-		ctx:      ctx,
-		lat:      lat,
-		ev:       ev,
-		sc:       sc,
-		opts:     opts,
-		tr:       opts.Tracer,
-		upper:    []ufNode{{set: lat.Full(), sscore: lat.SScore(lat.Full())}},
-		inLF:     make(map[lattice.EdgeSet]bool),
-		done:     make(map[lattice.EdgeSet]bool),
-		waiting:  make(map[lattice.EdgeSet]int),
-		tuples:   newTupleMap(),
-		excluded: newTupleSet(exclude),
+		ctx:     ctx,
+		lat:     lat,
+		ev:      ev,
+		sc:      sc,
+		opts:    opts,
+		tr:      opts.Tracer,
+		upper:   []ufNode{{set: lat.Full(), sscore: lat.SScore(lat.Full())}},
+		inLF:    make(map[lattice.EdgeSet]bool),
+		done:    make(map[lattice.EdgeSet]bool),
+		waiting: make(map[lattice.EdgeSet]int),
+		tuples:  newTupleMap(),
+	}
+	for _, t := range exclude {
+		if s.tuples.lookup(t) == nil {
+			s.tuples.insert(&candidate{tuple: append([]graph.NodeID(nil), t...), excluded: true})
+			s.numExcluded++
+		}
 	}
 	for _, q := range lat.MinimalTrees() {
 		s.pushLF(q)
@@ -328,11 +348,16 @@ type searcher struct {
 	// absorbed just then, which stays memoized while the parent waits.
 	waiting map[lattice.EdgeSet]int
 
-	tuples   *tupleMap
-	excluded *tupleSet
-	// tupleBuf is the scratch buffer row tuples are projected into; reusing
-	// it keeps the absorb/exclusion loops allocation-free.
+	tuples *tupleMap
+	// numExcluded counts the query tuples registered in tuples.
+	numExcluded int
+	// best counts the answer candidates per best structure score.
+	best scoreCounts
+	// tupleBuf is the scratch buffer row tuples are projected into, and
+	// slots the scorer's slot list of the node being absorbed; reusing them
+	// keeps absorb allocation-free.
 	tupleBuf []graph.NodeID
+	slots    []int
 
 	// consumed counts the lattice nodes the control loop evaluated.
 	consumed int
@@ -340,11 +365,6 @@ type searcher struct {
 	// skipped. The upper frontier only shrinks, so it bounds the structure
 	// score of every ancestor of every skipped node.
 	skipBound float64
-
-	// kth-best cache for the Theorem-4 test.
-	kthDirty bool
-	kthVal   float64
-	kthHave  bool
 
 	nullCount int
 	// generated/prunedCount mirror Result.NodesGenerated/NodesPruned.
@@ -445,25 +465,8 @@ func (s *searcher) popBest() (lattice.EdgeSet, float64, bool) {
 }
 
 // kthBestSScore returns the structure score of the k′-th best tuple so far,
-// or false if fewer than k′ tuples are known. The value is cached between
-// absorb calls.
-func (s *searcher) kthBestSScore() (float64, bool) {
-	if !s.kthDirty {
-		return s.kthVal, s.kthHave
-	}
-	s.kthDirty = false
-	if s.tuples.len() < s.opts.KPrime {
-		s.kthVal, s.kthHave = 0, false
-		return 0, false
-	}
-	scores := make([]float64, 0, s.tuples.len())
-	s.tuples.each(func(c *candidate) {
-		scores = append(scores, c.bestS)
-	})
-	sort.Sort(sort.Reverse(sort.Float64Slice(scores)))
-	s.kthVal, s.kthHave = scores[s.opts.KPrime-1], true
-	return s.kthVal, true
-}
+// or false if fewer than k′ tuples are known.
+func (s *searcher) kthBestSScore() (float64, bool) { return s.best.kth(s.opts.KPrime) }
 
 // run is the Alg. 2 control loop: pop the most promising candidate, evaluate
 // it, then prune, recompute the upper frontier, or absorb its answers.
@@ -515,11 +518,11 @@ func (s *searcher) run() (*Result, error) {
 			}
 			return nil, fmt.Errorf("topk: evaluating lattice node: %w", err)
 		}
-		empty, err := s.onlyExcluded(rows)
+		answered, err := s.absorb(qbest, rows)
 		if err != nil {
 			return s.interrupted(res, err)
 		}
-		if rows.Len() == 0 || empty {
+		if !answered {
 			// Null node (an answer set holding only the query tuple itself
 			// prunes the same way: every ancestor answer restricts to a
 			// child answer with the same projection). Its ancestors are
@@ -531,9 +534,6 @@ func (s *searcher) run() (*Result, error) {
 			continue
 		}
 		s.recordEval(qbest, ub, rows.Len(), false, false, dur)
-		if err := s.absorb(qbest, rows); err != nil {
-			return s.interrupted(res, err)
-		}
 		waiting := 0
 		for _, p := range s.lat.Parents(qbest) {
 			if !s.done[p] && !s.inLF[p] && !s.pruned(p) {
@@ -564,7 +564,7 @@ func (s *searcher) run() (*Result, error) {
 func (s *searcher) finalize(res *Result) *Result {
 	res.NodesEvaluated = s.consumed
 	res.NullNodes = s.nullCount
-	res.TuplesSeen = s.tuples.len()
+	res.TuplesSeen = s.tuples.len() - s.numExcluded
 	res.NodesGenerated = s.generated
 	res.NodesPruned = s.prunedCount
 	res.FrontierRecomputes = s.epoch
@@ -610,61 +610,68 @@ func (s *searcher) recordEval(q lattice.EdgeSet, ub float64, rows int, null, ski
 	})
 }
 
-// onlyExcluded reports whether every row projects to an excluded (query)
-// tuple, checking ctx at batch granularity (rows can number in the millions).
+// absorb folds the answers of an evaluated node into the per-tuple bests
+// and reports whether any row projected to a tuple other than a query tuple.
+// Under the simplified stage-1 scoring every row of q scores s_score(q);
+// the full score (with content credit) is tracked alongside for stage 2.
+// A row is matched to its candidate by comparing its entity slots with the
+// previous row's candidate, hashing only on a change, and its content score
+// is recomputed only when its match mask changes. Like the joins, it checks
+// ctx at batch granularity.
 //
 //gqbe:hotpath
-func (s *searcher) onlyExcluded(rows *exec.Rows) (bool, error) {
-	for n := 0; n < rows.Len(); n++ {
+func (s *searcher) absorb(q lattice.EdgeSet, rows *exec.Rows) (bool, error) {
+	sScore := s.lat.SScore(q)
+	ents := s.ev.EntitySlots()
+	s.slots = s.sc.Slots(s.slots[:0], q)
+	answered := false
+	var c *candidate
+	var mask uint64
+	cScore := 0.0 // c_score of mask
+	for n, nrows := 0, rows.Len(); n < nrows; n++ {
 		if n%cancelCheckInterval == 0 {
 			if err := s.ctx.Err(); err != nil {
 				return false, err
 			}
 		}
-		s.tupleBuf = s.ev.AppendTuple(s.tupleBuf[:0], rows.Row(n))
-		if !s.excluded.has(s.tupleBuf) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// absorb folds the answers of an evaluated node into the per-tuple bests.
-// Under the simplified stage-1 scoring every row of q scores s_score(q);
-// the full score (with content credit) is tracked alongside for stage 2.
-// Like the joins, it checks ctx at batch granularity.
-//
-//gqbe:hotpath
-func (s *searcher) absorb(q lattice.EdgeSet, rows *exec.Rows) error {
-	sScore := s.lat.SScore(q)
-	for n := 0; n < rows.Len(); n++ {
-		if n%cancelCheckInterval == 0 {
-			if err := s.ctx.Err(); err != nil {
-				return err
-			}
-		}
 		row := rows.Row(n)
-		s.tupleBuf = s.ev.AppendTuple(s.tupleBuf[:0], row)
-		if s.excluded.has(s.tupleBuf) {
+		if c == nil || !c.binds(row, ents) {
+			c = s.candidate(row)
+		}
+		if c.excluded {
 			continue
 		}
-		full := sScore + s.sc.CScore(q, row)
-		c := s.tuples.lookup(s.tupleBuf)
-		if c == nil {
-			//gqbelint:ignore hotalloc one candidate per distinct answer tuple (bounded by TuplesSeen), not per row
-			c = &candidate{tuple: append([]graph.NodeID(nil), s.tupleBuf...)}
-			s.tuples.insert(c)
+		answered = true
+		if m := s.sc.Mask(s.slots, row); m != mask {
+			mask, cScore = m, s.sc.CScore(q, m)
 		}
-		if sScore > c.bestS || (sScore == c.bestS && c.bestGraph == 0) {
-			c.bestS = sScore
-			c.bestGraph = q
+		if c.bestGraph == 0 {
+			c.bestS, c.bestGraph = sScore, q
+			s.best.add(sScore)
+		} else if sScore > c.bestS {
+			s.best.raise(c.bestS, sScore)
+			c.bestS, c.bestGraph = sScore, q
 		}
-		if full > c.bestFull {
+		if full := sScore + cScore; full > c.bestFull {
 			c.bestFull = full
 		}
 	}
-	s.kthDirty = true
-	return nil
+	return answered, nil
+}
+
+// candidate returns the candidate of row's tuple, registering a new one on
+// first sight.
+//
+//gqbe:hotpath
+func (s *searcher) candidate(row exec.Row) *candidate {
+	s.tupleBuf = s.ev.AppendTuple(s.tupleBuf[:0], row)
+	c := s.tuples.lookup(s.tupleBuf)
+	if c == nil {
+		//gqbelint:ignore hotalloc one candidate per distinct answer tuple (bounded by TuplesSeen), not per row
+		c = &candidate{tuple: append([]graph.NodeID(nil), s.tupleBuf...)}
+		s.tuples.insert(c)
+	}
+	return c
 }
 
 // recordNull registers qbest as a null node, prunes its ancestors, and
@@ -743,8 +750,12 @@ func (s *searcher) rank() []Answer {
 		c   *candidate
 		key string
 	}
-	all := make([]ranked, 0, s.tuples.len())
-	s.tuples.each(func(c *candidate) { all = append(all, ranked{c: c, key: tupleKey(c.tuple)}) })
+	all := make([]ranked, 0, s.tuples.len()-s.numExcluded)
+	s.tuples.each(func(c *candidate) {
+		if !c.excluded {
+			all = append(all, ranked{c: c, key: tupleKey(c.tuple)})
+		}
+	})
 	// Stage-1 order is by structure score; ties at the k′ boundary are
 	// broken by the full score so that, among structurally identical
 	// candidates, the ones the stage-2 re-rank would prefer survive the

@@ -1,17 +1,28 @@
 package topk
 
 import (
+	"cmp"
 	"slices"
 
 	"gqbe/internal/graph"
 )
 
-// The search absorbs every row of every evaluated lattice node, so tuple
-// identity checks are the hottest non-join loop in the engine. Building a
-// decimal string key per row ("12,407,33") costs an allocation and a format
-// call each time; instead tuples hash FNV-1a style over their raw int32
-// words, and the buckets hold the colliding entries for an exact
-// element-wise compare — collision-safe without ever materializing a key.
+// The search absorbs every row of every evaluated lattice node into per-tuple
+// bests, so finding a row's candidate is the hottest non-join loop in the
+// engine. Three things keep it cheap:
+//
+//   - Rows that extend the same child row are written next to each other and
+//     bind the same entities, so absorb first compares a row's entity slots
+//     with the previous row's candidate and hashes only when they differ.
+//   - tupleMap hashes FNV-1a style over the tuple's raw int32 words, and its
+//     buckets hold the colliding entries for an exact element-wise compare:
+//     collision-safe without ever rendering a string key.
+//   - The query tuples are registered up front as candidates flagged
+//     excluded, so exclusion costs no second lookup.
+//
+// The Theorem-4 test needs the k′-th best structure score before every pop.
+// scoreCounts keeps it without sorting: a tuple's best structure score only
+// rises, so the search counts candidates per distinct score.
 
 // tupleHash folds a tuple's raw node IDs FNV-1a style into a 64-bit hash.
 //
@@ -75,32 +86,53 @@ func (m *tupleMap) each(fn func(*candidate)) {
 	}
 }
 
-// tupleSet is a set of tuples under the same hashing scheme; it holds the
-// excluded (query) tuples.
-type tupleSet struct {
-	buckets map[uint64][][]graph.NodeID
+// scoreCounts is a multiset of best structure scores: counts[i] candidates
+// score scores[i], with the distinct scores in descending order and no zero
+// count. A score enters once per candidate and then only rises, so the
+// table holds as many entries as distinct scores are held, and the k′-th
+// best is a walk over at most k′ of them.
+type scoreCounts struct {
+	scores []float64
+	counts []int
+	n      int // Σ counts
 }
 
-func newTupleSet(tuples [][]graph.NodeID) *tupleSet {
-	s := &tupleSet{buckets: make(map[uint64][][]graph.NodeID, len(tuples))}
-	for _, t := range tuples {
-		if !s.has(t) {
-			cp := append([]graph.NodeID(nil), t...)
-			h := tupleHash(cp)
-			s.buckets[h] = append(s.buckets[h], cp)
-		}
-	}
-	return s
+// find returns v's position in scores, or where it would be inserted.
+func (t *scoreCounts) find(v float64) (int, bool) {
+	return slices.BinarySearchFunc(t.scores, v, func(a, b float64) int { return cmp.Compare(b, a) })
 }
 
-// has reports membership; t may be a transient scratch buffer.
-//
-//gqbe:hotpath
-func (s *tupleSet) has(t []graph.NodeID) bool {
-	for _, x := range s.buckets[tupleHash(t)] {
-		if tupleEq(x, t) {
-			return true
-		}
+// add counts one more candidate at v.
+func (t *scoreCounts) add(v float64) {
+	i, ok := t.find(v)
+	if !ok {
+		t.scores = slices.Insert(t.scores, i, v)
+		t.counts = slices.Insert(t.counts, i, 0)
 	}
-	return false
+	t.counts[i]++
+	t.n++
+}
+
+// raise moves one candidate from score from, which it must hold, to to.
+func (t *scoreCounts) raise(from, to float64) {
+	i, _ := t.find(from)
+	if t.counts[i]--; t.counts[i] == 0 {
+		t.scores = slices.Delete(t.scores, i, i+1)
+		t.counts = slices.Delete(t.counts, i, i+1)
+	}
+	t.n--
+	t.add(to)
+}
+
+// kth returns the k-th highest score counted (k ≥ 1), or false if fewer than
+// k candidates are counted.
+func (t *scoreCounts) kth(k int) (float64, bool) {
+	if t.n < k {
+		return 0, false
+	}
+	i := 0
+	for ; k > t.counts[i]; i++ {
+		k -= t.counts[i]
+	}
+	return t.scores[i], true
 }
