@@ -255,7 +255,6 @@ func SearchCtx(ctx context.Context, store *storage.Store, lat *lattice.Lattice, 
 	for _, t := range exclude {
 		if s.tuples.lookup(t) == nil {
 			s.tuples.insert(&candidate{tuple: append([]graph.NodeID(nil), t...), excluded: true})
-			s.numExcluded++
 		}
 	}
 	for _, q := range lat.MinimalTrees() {
@@ -349,9 +348,8 @@ type searcher struct {
 	waiting map[lattice.EdgeSet]int
 
 	tuples *tupleMap
-	// numExcluded counts the query tuples registered in tuples.
-	numExcluded int
-	// best counts the answer candidates per best structure score.
+	// best counts the answer candidates (every candidate not excluded) per
+	// best structure score; absorb adds each one as it registers it.
 	best scoreCounts
 	// tupleBuf is the scratch buffer row tuples are projected into, and
 	// slots the scorer's slot list of the node being absorbed; reusing them
@@ -564,7 +562,7 @@ func (s *searcher) run() (*Result, error) {
 func (s *searcher) finalize(res *Result) *Result {
 	res.NodesEvaluated = s.consumed
 	res.NullNodes = s.nullCount
-	res.TuplesSeen = s.tuples.len() - s.numExcluded
+	res.TuplesSeen = s.best.n
 	res.NodesGenerated = s.generated
 	res.NodesPruned = s.prunedCount
 	res.FrontierRecomputes = s.epoch
@@ -750,7 +748,7 @@ func (s *searcher) rank() []Answer {
 		c   *candidate
 		key string
 	}
-	all := make([]ranked, 0, s.tuples.len()-s.numExcluded)
+	all := make([]ranked, 0, s.best.n)
 	s.tuples.each(func(c *candidate) {
 		if !c.excluded {
 			all = append(all, ranked{c: c, key: tupleKey(c.tuple)})

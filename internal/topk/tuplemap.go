@@ -76,9 +76,6 @@ func (m *tupleMap) insert(c *candidate) {
 	m.all = append(m.all, c)
 }
 
-// len returns the number of distinct tuples.
-func (m *tupleMap) len() int { return len(m.all) }
-
 // each calls fn for every candidate, in insertion (absorption) order.
 func (m *tupleMap) each(fn func(*candidate)) {
 	for _, c := range m.all {

@@ -25,8 +25,8 @@ func TestTupleMapEachInsertionOrder(t *testing.T) {
 		}
 		m.insert(&candidate{tuple: tu})
 	}
-	if m.len() != len(tuples) {
-		t.Fatalf("len = %d, want %d", m.len(), len(tuples))
+	if len(m.all) != len(tuples) {
+		t.Fatalf("len = %d, want %d", len(m.all), len(tuples))
 	}
 	var got [][]graph.NodeID
 	m.each(func(c *candidate) { got = append(got, c.tuple) })
