@@ -30,7 +30,7 @@ type Config struct {
 	// Seed drives all randomness; equal seeds give identical datasets.
 	Seed int64
 	// Scale multiplies domain sizes; 1.0 is the default benchmark size
-	// (≈20k nodes / ≈80k edges for the Freebase-like graph).
+	// (9 387 nodes / 16 613 edges for the Freebase-like graph at seed 42).
 	Scale float64
 }
 

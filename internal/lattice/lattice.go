@@ -27,10 +27,10 @@ import (
 // scores by a per-node match mask.
 const MaxEdges = 63
 
-// MaxNodes is the most distinct MQG nodes the lattice supports, the node
+// maxNodes is the most distinct MQG nodes the lattice supports, the node
 // count of a connected MQG at MaxEdges. Only a disconnected MQG can exceed
 // it within the edge cap.
-const MaxNodes = MaxEdges + 1
+const maxNodes = MaxEdges + 1
 
 // EdgeSet is a query graph: bit i set means edge i of the MQG is present.
 type EdgeSet uint64
@@ -94,8 +94,8 @@ func NewCtx(ctx context.Context, m *mqg.MQG) (*Lattice, error) {
 		l.incident[si] |= Bit(i)
 		l.incident[di] |= Bit(i)
 	}
-	if len(l.nodes) > MaxNodes {
-		return nil, fmt.Errorf("lattice: MQG has %d nodes, max %d", len(l.nodes), MaxNodes)
+	if len(l.nodes) > maxNodes {
+		return nil, fmt.Errorf("lattice: MQG has %d nodes, max %d", len(l.nodes), maxNodes)
 	}
 	for _, v := range m.Tuple {
 		i, ok := l.nodeIdx[v]
@@ -295,7 +295,7 @@ func (l *Lattice) spanningTrees(ctx context.Context, emit func([]int) error) err
 	var chosen []int
 	steps := 0
 	// parent array union-find with rollback via full copies: the graphs are
-	// tiny (≤ MaxEdges edges, ≤ MaxNodes nodes), so simplicity wins.
+	// tiny (≤ MaxEdges edges, ≤ maxNodes nodes), so simplicity wins.
 	var rec func(next int, parent []int, count int) error
 	find := func(parent []int, x int) int {
 		for parent[x] != x {

@@ -254,9 +254,9 @@ func path(n int) *mqg.MQG {
 }
 
 // TestMaxEdgesFitsNodeMask pins the size limits a 64-bit per-node mask needs:
-// a connected MQG at MaxEdges has MaxNodes = 64 nodes and is accepted, one
+// a connected MQG at MaxEdges has maxNodes = 64 nodes and is accepted, one
 // edge more is refused, and so is a disconnected MQG within the edge cap
-// whose nodes outnumber MaxNodes.
+// whose nodes outnumber maxNodes.
 func TestMaxEdgesFitsNodeMask(t *testing.T) {
 	l, err := NewCtx(context.Background(), path(63))
 	if err != nil {

@@ -33,8 +33,8 @@ type Scorer struct {
 	matchable uint64
 }
 
-// New builds a scorer for the lattice/evaluator pair. A lattice has at most
-// lattice.MaxNodes = 64 slots, so a slot set fits one uint64.
+// New builds a scorer for the lattice/evaluator pair. lattice.NewCtx refuses
+// an MQG with more than 64 nodes, so a slot set fits one uint64.
 func New(lat *lattice.Lattice, ev *exec.Evaluator) *Scorer {
 	s := &Scorer{lat: lat, ev: ev, incident: make([]int, ev.NumSlots())}
 	for i := range lat.M.Sub.Edges {
@@ -80,6 +80,8 @@ func (s *Scorer) Slots(dst []int, q lattice.EdgeSet) []int {
 func (s *Scorer) Mask(slots []int, row exec.Row) uint64 {
 	nodes := s.nodes
 	var m uint64
+	// Slots are below 64; masking the shift count says so to the compiler,
+	// which then drops its shift-range check.
 	for _, slot := range slots {
 		m |= b2u(row[slot] == nodes[slot]) << (uint(slot) & 63)
 	}
