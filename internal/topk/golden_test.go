@@ -248,15 +248,11 @@ type kPrimeEntry struct {
 	Answers        []string   `json:"answers"`
 }
 
-// kPrimes are the reduced pool sizes TestKPrimeGolden pins: brownout's
-// clamp (32) and the smallest pool K 10 allows.
-var kPrimes = []int{10, 32}
-
 // TestKPrimeGolden pins the Theorem 4 path: with a small k′ the k′-th best
 // structure score is reached early, so the test stops some searches
 // (StopProven) that run to exhaustion at the default k′ of 100. Every
-// light and heavy benchmark operation is searched at K 10 and each k′ in
-// kPrimes; totals over the file are ROADMAP item 23(a)'s k′ rows. Refresh
+// light and heavy benchmark operation is searched at K 10 and k′ 10 and
+// 32; totals over the file are ROADMAP item 23(a)'s k′ rows. Refresh
 // with `go test ./internal/topk -run TestKPrimeGolden -update`.
 func TestKPrimeGolden(t *testing.T) {
 	if testing.Short() {
@@ -286,7 +282,8 @@ func TestKPrimeGolden(t *testing.T) {
 	var got []kPrimeEntry
 	for _, op := range ops {
 		_, lat, tuples := frontHalf(t, op.ID, op.Tuples)
-		for _, kp := range kPrimes {
+		// Brownout's clamp (32) and the smallest pool K 10 allows.
+		for _, kp := range []int{10, 32} {
 			res, err := SearchCtx(context.Background(), kgSt, lat, tuples, Options{K: 10, KPrime: kp})
 			if err != nil {
 				t.Fatalf("%s k′ %d: %v", op.ID, kp, err)
