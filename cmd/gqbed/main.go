@@ -26,7 +26,6 @@
 //
 //	POST /v1/query          {"tuple":["Jerry Yang","Yahoo!"],"k":10,"timeout_ms":500}
 //	                        {"tuples":[["Jerry Yang","Yahoo!"],["Sergey Brin","Google"]]}
-//	POST /v1/query:batch    {"queries":[{"tuple":[...]},...]} — per-item results/errors
 //	POST /v1/query:explain  one query's full breakdown: span tree, MQG,
 //	                        lattice summary, per-node evaluation table
 //	GET  /v1/entity/{name}  entity existence check
@@ -79,8 +78,6 @@ func main() {
 		cacheEntries  = flag.Int("cache-entries", 1024, "result cache capacity in entries (negative disables)")
 		cacheShards   = flag.Int("cache-shards", 16, "result cache shard count")
 		cacheMinLat   = flag.Duration("cache-min-latency", time.Millisecond, "cache admission floor: don't cache results whose search was faster than this (negative caches everything)")
-		batchItems    = flag.Int("max-batch-items", 64, "max queries per /v1/query:batch request")
-		batchConc     = flag.Int("batch-concurrency", 4, "max engine searches one batch runs at once (capped at -max-concurrent)")
 		pprofAddr     = flag.String("pprof-addr", "", "optional address (e.g. 127.0.0.1:6060) serving net/http/pprof on a separate listener; empty disables")
 		trace         = flag.Bool("trace", false, "trace every query (span tree + node evaluations) and log each at debug level; answers are unchanged")
 		slowQueryMS   = flag.Int("slow-query-ms", 0, "log a structured slow-query record (full span breakdown) for requests slower than this many milliseconds; 0 disables")
@@ -94,8 +91,7 @@ func main() {
 		faultSpec    = flag.String("fault", "", "fault-injection spec, e.g. 'exec.eval.panic:p=0.01,seed=7;snapio.read.flip:every=100' (testing/chaos only; empty disables)")
 		staleServe   = flag.Bool("stale-serve", false, "serve retained cache entries (labeled stale, with an Age header) when live computation fails with a server-side error")
 		staleTTL     = flag.Duration("stale-ttl", 0, "result-cache freshness horizon: older entries recompute but stay eligible for stale serving (0 = 1m default, negative = never stale)")
-		brownoutQ    = flag.Int("brownout-queue", 0, "admission queue depth that engages brownout (clamped searches labeled browned_out); 0 disables")
-		brownoutKP   = flag.Int("brownout-kprime", 0, "candidate-list clamp under brownout (0 = default 32)")
+		brownoutQ    = flag.Int("brownout-queue", 0, "admission queue depth that engages brownout (evaluation-capped searches labeled browned_out); 0 disables")
 		brownoutEval = flag.Int("brownout-max-evaluations", 0, "lattice-evaluation cap under brownout (0 = default 512)")
 	)
 	flag.Parse()
@@ -152,18 +148,16 @@ func main() {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: logLevel}))
 
 	cfg := server.Config{
-		MaxConcurrent:       *maxConcurrent,
-		MaxQueueWait:        *queueWait,
-		DefaultTimeout:      *timeout,
-		MaxTimeout:          *maxTimeout,
-		CacheEntries:        *cacheEntries,
-		CacheShards:         *cacheShards,
-		CacheMinLatency:     *cacheMinLat,
-		MaxBatchItems:       *batchItems,
-		MaxBatchConcurrency: *batchConc,
-		Trace:               *trace,
-		SlowQuery:           time.Duration(*slowQueryMS) * time.Millisecond,
-		Logger:              logger,
+		MaxConcurrent:   *maxConcurrent,
+		MaxQueueWait:    *queueWait,
+		DefaultTimeout:  *timeout,
+		MaxTimeout:      *maxTimeout,
+		CacheEntries:    *cacheEntries,
+		CacheShards:     *cacheShards,
+		CacheMinLatency: *cacheMinLat,
+		Trace:           *trace,
+		SlowQuery:       time.Duration(*slowQueryMS) * time.Millisecond,
+		Logger:          logger,
 		// Hot reload rebuilds from the same sources the boot load used
 		// (snapshot preferred, graph fallback), so SIGHUP / POST
 		// /admin/reload picks up a newly written snapshot or graph file
@@ -182,7 +176,6 @@ func main() {
 		StaleServe:             *staleServe,
 		StaleTTL:               *staleTTL,
 		BrownoutQueue:          *brownoutQ,
-		BrownoutKPrime:         *brownoutKP,
 		BrownoutMaxEvaluations: *brownoutEval,
 	}.WithDefaults()
 	srv := server.New(eng, cfg)
@@ -194,10 +187,9 @@ func main() {
 		// or trickled upload must not pin a goroutine past this.
 		ReadTimeout: 30 * time.Second,
 		// The write window must cover the longest allowed request — queue
-		// wait plus query deadline; a batch envelope is server-bounded to
-		// the same ceiling — and the response itself; a finite bound keeps
-		// slow-reading clients from holding connections (and their handler
-		// goroutines) forever.
+		// wait plus query deadline — and the response itself; a finite
+		// bound keeps slow-reading clients from holding connections (and
+		// their handler goroutines) forever.
 		WriteTimeout: cfg.MaxQueueWait + cfg.MaxTimeout + 30*time.Second,
 		IdleTimeout:  60 * time.Second,
 	}
@@ -254,8 +246,7 @@ func main() {
 
 	log.Printf("gqbed: shutting down, draining in-flight requests")
 	// The drain window must cover the longest request the server itself
-	// admits: full queue wait plus the maximum query deadline (batch
-	// envelopes are server-bounded to the same ceiling).
+	// admits: full queue wait plus the maximum query deadline.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(),
 		cfg.MaxQueueWait+cfg.MaxTimeout+5*time.Second)
 	defer cancel()

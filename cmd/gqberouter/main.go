@@ -22,8 +22,8 @@
 // shard failed is answered from the router's merged-result cache (labeled
 // stale, with an Age header) when it retains the key.
 //
-// Endpoints: POST /v1/query, /v1/query:batch, /v1/query:explain (all merged
-// across the fleet), GET /v1/entity/{name} (proxied), GET /healthz (fleet
+// Endpoints: POST /v1/query, /v1/query:explain (both merged across the
+// fleet), GET /v1/entity/{name} (proxied), GET /healthz (fleet
 // probe), GET /statz (fleet counters + per-shard latency), GET /metrics
 // (gqbe_router_* Prometheus families).
 package main
@@ -60,7 +60,6 @@ func main() {
 		staleServe   = flag.Bool("stale-serve", false, "serve retained merged results (labeled stale, with an Age header) when every shard fails")
 		staleTTL     = flag.Duration("stale-ttl", 0, "merged-result cache freshness horizon (0 = 1m default, negative = never stale)")
 		retries      = flag.Int("retries", 1, "transport-error retries per shard call (negative disables)")
-		batchItems   = flag.Int("max-batch-items", 64, "max queries per /v1/query:batch request")
 	)
 	flag.Parse()
 
@@ -97,7 +96,6 @@ func main() {
 		StaleServe:     *staleServe,
 		StaleTTL:       *staleTTL,
 		Retries:        *retries,
-		MaxBatchItems:  *batchItems,
 		Logger:         logger,
 	})
 	if err != nil {

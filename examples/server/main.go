@@ -15,15 +15,6 @@
 //	curl -s localhost:8080/v1/query \
 //	     -d '{"tuples":[["Jerry Yang","Yahoo!"],["Sergey Brin","Google"]]}'
 //
-//	# batch: several queries in one request, answered per item; duplicate
-//	# items are computed once ("deduped":true) and repeats of anything
-//	# already cached or in flight never touch the engine
-//	curl -s localhost:8080/v1/query:batch -d '{"queries":[
-//	       {"tuple":["Jerry Yang","Yahoo!"]},
-//	       {"tuple":["Jerry Yang","Yahoo!"]},
-//	       {"tuple":["Sergey Brin","Google"],"k":5},
-//	       {"tuple":["No Such Entity","Yahoo!"]}]}'
-//
 //	# bound the query: an impossible 1ms-style deadline returns a timeout
 //	curl -s localhost:8080/v1/query \
 //	     -d '{"tuple":["Jerry Yang","Yahoo!"],"timeout_ms":1,"no_cache":true}'

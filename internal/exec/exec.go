@@ -476,7 +476,7 @@ func (ev *Evaluator) joinEdge(rows *Rows, i int) (*Rows, error) {
 //gqbe:hotpath
 func (ev *Evaluator) outputBound(rows *Rows, t *storage.Table, ss, ds int) (int, error) {
 	bound := 0
-	for n := 0; n < rows.Len() && bound <= ev.maxRows; n++ {
+	for n, nrows := 0, rows.Len(); n < nrows && bound <= ev.maxRows; n++ {
 		if n%cancelCheckInterval == 0 {
 			if err := ev.ctxErr(); err != nil {
 				return 0, err

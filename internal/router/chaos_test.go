@@ -214,40 +214,6 @@ func TestChaosPartialNeverCached(t *testing.T) {
 	}
 }
 
-// TestChaosBatchPartial runs a batch through a fleet with one dead shard:
-// every item must come back 200-with-result, partial, naming the dead shard.
-func TestChaosBatchPartial(t *testing.T) {
-	eng := fig1Engine(t)
-	const victim = 0
-	f := newFleet(t, eng, 3, 0, onShard(victim, faultStatus(http.StatusInternalServerError, "internal")), chaosRouterConfig())
-	body := `{"queries":[
-		{"tuple":["Jerry Yang","Yahoo!"],"k":10},
-		{"tuple":["Sergey Brin","Google"],"k":5}
-	]}`
-	w := post(t, f.rt, "/v1/query:batch", body)
-	if w.Code != http.StatusOK {
-		t.Fatalf("batch status = %d, body %s", w.Code, w.Body.String())
-	}
-	var br server.BatchResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &br); err != nil {
-		t.Fatalf("decoding batch: %v", err)
-	}
-	if len(br.Results) != 2 {
-		t.Fatalf("results = %d, want 2", len(br.Results))
-	}
-	for i, item := range br.Results {
-		if item.Result == nil {
-			t.Fatalf("item %d errored under a single dead shard: %+v", i, item.Error)
-		}
-		if !item.Result.Partial {
-			t.Errorf("item %d not marked partial", i)
-		}
-		if want := []string{shardName(victim)}; !reflect.DeepEqual(item.Result.Missing, want) {
-			t.Errorf("item %d missing_shards = %v, want %v", i, item.Result.Missing, want)
-		}
-	}
-}
-
 // TestChaosExplainPartial pins explain's degraded contract: merged 200 with
 // partial=true, the dead shard named in the error detail, and the trace
 // carrying only the shards that answered.
@@ -510,11 +476,6 @@ func TestChaosStatzAccounting(t *testing.T) {
 		t.Fatalf("shed probe got %d", w.Code)
 	}
 	down.Store(false)
-	// batch: three items, all healthy (each item lands in served).
-	if w := post(t, f.rt, "/v1/query:batch",
-		`{"queries":[{"tuple":["Jerry Yang","Yahoo!"],"k":3},{"tuple":["Sergey Brin","Google"],"k":3},{"tuple":["Nobody Anybody"],"k":3}]}`); w.Code != http.StatusOK {
-		t.Fatalf("batch probe got %d: %s", w.Code, w.Body.String())
-	}
 
 	req := httptest.NewRequest(http.MethodGet, "/statz", nil)
 	w := httptest.NewRecorder()
@@ -533,22 +494,19 @@ func TestChaosStatzAccounting(t *testing.T) {
 		t.Errorf("accounting invariant broken: served %d + errors %d + rejected %d + timeouts %d + canceled %d = %d, requests %d",
 			sz.Served, sz.Errors, sz.Rejected, sz.Timeouts, sz.Canceled, got, sz.Requests)
 	}
-	// The barrage's exact ledger: 3 healthy + 2 healthy batch items = 5
-	// served; 404 + 400 + outage + bad batch item = 4 errors; 1 rejected.
-	if sz.Requests != 10 {
-		t.Errorf("requests = %d, want 10 (5 queries + 2 probes + 3 batch items)", sz.Requests)
+	// The barrage's exact ledger: 3 healthy = 3 served; 404 + 400 + outage
+	// = 3 errors; 1 rejected.
+	if sz.Requests != 7 {
+		t.Errorf("requests = %d, want 7 (5 queries + 2 probes)", sz.Requests)
 	}
-	if sz.Served != 5 {
-		t.Errorf("served = %d, want 5", sz.Served)
+	if sz.Served != 3 {
+		t.Errorf("served = %d, want 3", sz.Served)
 	}
-	if sz.Errors != 4 {
-		t.Errorf("errors = %d, want 4", sz.Errors)
+	if sz.Errors != 3 {
+		t.Errorf("errors = %d, want 3", sz.Errors)
 	}
 	if sz.Rejected != 1 {
 		t.Errorf("rejected = %d, want 1", sz.Rejected)
-	}
-	if sz.BatchItems != 3 || sz.BatchRequests != 1 {
-		t.Errorf("batch accounting = %d items / %d requests, want 3/1", sz.BatchItems, sz.BatchRequests)
 	}
 	if sz.ShardErrors == 0 {
 		t.Error("shard_errors = 0 after an injected outage")

@@ -16,11 +16,11 @@ import (
 // routerMetrics aggregates the fleet-level counters exposed on /statz and
 // /metrics. The outcome counters keep the same accounting invariant the
 // daemons do: requests == served + errored + rejected + timeouts + canceled
-// (plus any still in flight), with batch items counted individually.
+// (plus any still in flight).
 type routerMetrics struct {
 	start time.Time
 
-	requests atomic.Uint64 // query requests received (batch items included)
+	requests atomic.Uint64 // query requests received
 	served   atomic.Uint64 // answered 2xx (full, partial, and stale merges alike)
 	errored  atomic.Uint64 // failed 4xx/5xx, excluding shed/timed-out/canceled
 	rejected atomic.Uint64 // 429 (every shard shed)
@@ -36,9 +36,6 @@ type routerMetrics struct {
 	statsMismatch atomic.Uint64 // shard stats disagreed on trajectory facts
 	fanout        atomic.Uint64 // shard calls issued (retries included)
 	shardErrors   atomic.Uint64 // shard calls that failed (transport, 5xx, 429)
-
-	batchRequests atomic.Uint64
-	batchItems    atomic.Uint64
 
 	recoveredPanics atomic.Uint64
 
@@ -91,8 +88,6 @@ type statzJSON struct {
 	StatsMismatches uint64           `json:"stats_mismatches"`
 	Fanout          uint64           `json:"fanout"`
 	ShardErrors     uint64           `json:"shard_errors"`
-	BatchRequests   uint64           `json:"batch_requests"`
-	BatchItems      uint64           `json:"batch_items"`
 	RecoveredPanics uint64           `json:"recovered_panics"`
 	Cache           statzCacheJSON   `json:"cache"`
 	Shards          []statzShardJSON `json:"shards"`
@@ -124,8 +119,6 @@ func (rt *Router) handleStatz(w http.ResponseWriter, r *http.Request) {
 		StatsMismatches: m.statsMismatch.Load(),
 		Fanout:          m.fanout.Load(),
 		ShardErrors:     m.shardErrors.Load(),
-		BatchRequests:   m.batchRequests.Load(),
-		BatchItems:      m.batchItems.Load(),
 		RecoveredPanics: m.recoveredPanics.Load(),
 		Cache: statzCacheJSON{
 			Entries:   rt.cache.len(),
@@ -163,7 +156,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	var b bytes.Buffer
 	server.PromCounter(&b, "gqbe_router_requests_total",
-		"Query requests received by the router (batch items counted individually).", m.requests.Load())
+		"Query requests received by the router.", m.requests.Load())
 
 	server.PromHeader(&b, "gqbe_router_outcomes_total",
 		"Query requests by final outcome; the series sum equals gqbe_router_requests_total minus requests still in flight.", "counter")
@@ -202,10 +195,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"Query requests answered from the merged-result cache.", m.cacheServ.Load())
 	server.PromCounter(&b, "gqbe_router_coalesced_total",
 		"Query requests answered by joining an identical in-flight fan-out.", m.coalesced.Load())
-	server.PromCounter(&b, "gqbe_router_batch_requests_total",
-		"POST /v1/query:batch envelopes received.", m.batchRequests.Load())
-	server.PromCounter(&b, "gqbe_router_batch_items_total",
-		"Individual queries carried by accepted batches.", m.batchItems.Load())
 	server.PromCounter(&b, "gqbe_router_recovered_panics_total",
 		"Panics recovered into error responses; the router survived each one.", m.recoveredPanics.Load())
 

@@ -132,9 +132,9 @@ func zeroTimings(r *server.QueryResponse) {
 }
 
 // fleetMatrix is the shard-count × admission-worker sweep every oracle test
-// runs under. With one worker slot a daemon runs a batch's items one at a
-// time; with eight it runs them concurrently. Neither may perturb the merged
-// ranking any more than sharding does.
+// runs under. The workers axis varies only the daemons' admission slot
+// count (one slot or eight); neither may perturb the merged ranking any more
+// than sharding does.
 var fleetMatrix = []struct {
 	shards, workers int
 }{
@@ -228,59 +228,6 @@ func TestOracleKGSynth(t *testing.T) {
 				expectOracleMatch(t, f, string(req))
 			})
 		}
-	}
-}
-
-// TestOracleBatch pins batch parity: per-item merged rankings, per-item
-// deterministic errors, and the deduped flag on repeated items must all
-// match the single-node batch verdict.
-func TestOracleBatch(t *testing.T) {
-	eng := fig1Engine(t)
-	body := `{"queries":[
-		{"tuple":["Jerry Yang","Yahoo!"],"k":10},
-		{"tuple":["Sergey Brin","Google"],"k":5},
-		{"tuple":["Jerry Yang","Yahoo!"],"k":10},
-		{"tuple":["Nobody Anybody","Yahoo!"],"k":5},
-		{"k":5}
-	]}`
-	for _, m := range fleetMatrix {
-		m := m
-		t.Run(shardName(m.shards)+"-w"+string(rune('0'+m.workers)), func(t *testing.T) {
-			f := newFleet(t, eng, m.shards, m.workers, nil, Config{})
-			bw := post(t, f.baseline, "/v1/query:batch", body)
-			rw := post(t, f.rt, "/v1/query:batch", body)
-			if rw.Code != bw.Code || bw.Code != http.StatusOK {
-				t.Fatalf("status: router %d, baseline %d; router body %s", rw.Code, bw.Code, rw.Body.String())
-			}
-			var br, rr server.BatchResponse
-			if err := json.Unmarshal(bw.Body.Bytes(), &br); err != nil {
-				t.Fatalf("decoding baseline batch: %v", err)
-			}
-			if err := json.Unmarshal(rw.Body.Bytes(), &rr); err != nil {
-				t.Fatalf("decoding router batch: %v", err)
-			}
-			if len(rr.Results) != len(br.Results) {
-				t.Fatalf("result count: router %d, baseline %d", len(rr.Results), len(br.Results))
-			}
-			for i := range br.Results {
-				b, r := br.Results[i], rr.Results[i]
-				if b.Result != nil {
-					zeroTimings(b.Result)
-				}
-				if r.Result != nil {
-					zeroTimings(r.Result)
-				}
-				if !reflect.DeepEqual(r, b) {
-					t.Errorf("item %d diverged:\nrouter   %+v\nbaseline %+v", i, r, b)
-					if b.Result != nil && r.Result != nil {
-						t.Errorf("item %d results:\nrouter   %+v\nbaseline %+v", i, *r.Result, *b.Result)
-					}
-				}
-			}
-			if dup := rr.Results[2]; dup.Result == nil || !dup.Result.Deduped {
-				t.Error("repeated batch item lost its deduped flag through the router")
-			}
-		})
 	}
 }
 

@@ -46,7 +46,7 @@ import (
 )
 
 // Config tunes a Router. Zero fields select the defaults documented on each
-// field; the query-policy fields (timeouts, queue wait, batch size) should
+// field; the query-policy fields (timeouts, queue wait) should
 // match the shard daemons' so the router's admission view agrees with theirs.
 type Config struct {
 	// Shards are the shard daemons' base URLs in shard-index order
@@ -83,9 +83,6 @@ type Config struct {
 	// statuses are never retried — the shard spoke, the answer is its
 	// answer. 0 selects 1; negative disables retries.
 	Retries int
-	// MaxBatchItems caps how many queries one POST /v1/query:batch request
-	// may carry (default 64); should match the shards' setting.
-	MaxBatchItems int
 	// Logger receives the router's structured logs. Nil selects
 	// slog.Default().
 	Logger *slog.Logger
@@ -118,9 +115,6 @@ func (c *Config) fill() {
 		c.Retries = 1
 	case c.Retries < 0:
 		c.Retries = 0
-	}
-	if c.MaxBatchItems <= 0 {
-		c.MaxBatchItems = 64
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -198,7 +192,6 @@ func New(cfg Config) (*Router, error) {
 		})
 	}
 	rt.mux.HandleFunc("/v1/query", rt.handleQuery)
-	rt.mux.HandleFunc("/v1/query:batch", rt.handleBatch)
 	rt.mux.HandleFunc("/v1/query:explain", rt.handleExplain)
 	rt.mux.HandleFunc("/v1/entity/", rt.handleEntity)
 	rt.mux.HandleFunc("/healthz", rt.handleHealthz)

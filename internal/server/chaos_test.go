@@ -232,6 +232,31 @@ func TestChaosBrownout(t *testing.T) {
 	}
 }
 
+// TestBrownoutClampKeepsKAndKPrime: brownout caps evaluations only. A
+// request's K and k′ pass through unchanged (a k′ clamp saved 0.3 % of the
+// golden's nodes against the cap's 36.2 %), the default cap of 512 replaces
+// an unset or larger max_evaluations, and a request's own lower cap is kept.
+func TestBrownoutClampKeepsKAndKPrime(t *testing.T) {
+	cfg := Config{}.WithDefaults()
+	for _, tc := range []struct {
+		name         string
+		in, wantEval int
+	}{
+		{"unset", 0, 512},
+		{"larger", 5000, 512},
+		{"lower", 3, 3},
+	} {
+		in := gqbe.Options{K: 50, KPrime: 100, MaxEvaluations: tc.in}
+		got := brownoutClamp(in, cfg)
+		if got.K != 50 || got.KPrime != 100 {
+			t.Errorf("%s: K, KPrime = %d, %d; want 50, 100", tc.name, got.K, got.KPrime)
+		}
+		if got.MaxEvaluations != tc.wantEval {
+			t.Errorf("%s: MaxEvaluations = %d, want %d", tc.name, got.MaxEvaluations, tc.wantEval)
+		}
+	}
+}
+
 // TestChaosAdmissionShed: injected admission saturation sheds with 429,
 // "overloaded", and a parseable Retry-After hint.
 func TestChaosAdmissionShed(t *testing.T) {

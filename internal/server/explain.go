@@ -168,7 +168,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	tr := obs.New()
 	timeout := s.effectiveTimeout(req.TimeoutMillis)
 	key := keyFor(eg, tuples, opts)
-	res, flags, err := s.answer(r.Context(), eg, key, tuples, opts, timeout, true, nil, tr)
+	res, flags, err := s.answer(r.Context(), eg, key, tuples, opts, timeout, true, tr)
 	total := time.Since(start)
 	root := tr.Finish()
 	s.logQuery(reqID, "/v1/query:explain", tuples, total, res, flags, err, root)

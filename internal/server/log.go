@@ -13,9 +13,9 @@ import (
 
 // disposition names how a request was ultimately satisfied (or not), for
 // logs and the explain response: "computed" (a real engine search),
-// "cache_hit", "coalesced", "deduped", the degraded modes "stale" (retained
-// cache entry served after a live-path failure) and "browned_out" (search
-// ran under the brownout clamp), or the failure classes "rejected"
+// "cache_hit", "coalesced", the degraded modes "stale" (retained cache entry
+// served after a live-path failure) and "browned_out" (search ran under the
+// brownout evaluation cap), or the failure classes "rejected"
 // (admission shed), "timeout", "canceled", and "error".
 func disposition(flags answerFlags, err error) string {
 	switch {
@@ -23,15 +23,13 @@ func disposition(flags answerFlags, err error) string {
 		return "stale"
 	case err == nil && flags.brownedOut:
 		// Brownout can coincide with coalescing (a follower sharing a
-		// clamped leader's answer); the degradation is the load-bearing
+		// capped leader's answer); the degradation is the load-bearing
 		// fact for logs, so it wins.
 		return "browned_out"
 	case err == nil && flags.cached:
 		return "cache_hit"
 	case err == nil && flags.coalesced:
 		return "coalesced"
-	case err == nil && flags.deduped:
-		return "deduped"
 	case err == nil:
 		return "computed"
 	case errors.Is(err, errSaturated):

@@ -15,7 +15,7 @@ import (
 type serverMetrics struct {
 	start time.Time
 
-	requests atomic.Uint64 // query requests received (batch items included, one per item)
+	requests atomic.Uint64 // query requests received
 	served   atomic.Uint64 // query requests answered 2xx
 	errored  atomic.Uint64 // query requests failed (4xx/5xx), excluding shed, timed-out, and canceled ones
 	rejected atomic.Uint64 // query requests shed by admission (429)
@@ -27,20 +27,16 @@ type serverMetrics struct {
 	// finished under the CacheMinLatency admission floor.
 	cacheSkippedFast atomic.Uint64
 	coalesced        atomic.Uint64 // query requests answered (shared result or deterministic query error) by joining an identical in-flight search
-	inFlight         atomic.Int64  // requests (query or batch) currently being handled
-
-	batchRequests atomic.Uint64 // POST /v1/query:batch envelopes received
-	batchItems    atomic.Uint64 // individual queries carried by accepted batches
-	batchDeduped  atomic.Uint64 // batch items answered by an identical item in the same batch
+	inFlight         atomic.Int64  // query requests currently being handled
 
 	slowQueries atomic.Uint64 // requests whose total handling time met Config.SlowQuery
 
 	// Degraded-service counters (the /statz "faults" section):
-	recoveredPanics atomic.Uint64 // panics recovered into 500s at the query, batch and explain handlers
+	recoveredPanics atomic.Uint64 // panics recovered into 500s at the query and explain handlers
 	staleServed     atomic.Uint64 // degraded answers served from retained cache entries
 	reloadsOK       atomic.Uint64 // hot reloads that swapped in a new engine generation
 	reloadsRejected atomic.Uint64 // hot reloads rejected (loader failed); serving engine retained
-	brownouts       atomic.Uint64 // searches executed under the brownout clamp
+	brownouts       atomic.Uint64 // searches executed under the brownout evaluation cap
 
 	// searchStopped counts engine searches (cache hits and coalesced
 	// answers excluded) by why they stopped, indexed like stopReasons.
@@ -172,9 +168,6 @@ type statzSnapshot struct {
 	Canceled      uint64       `json:"canceled"`
 	CacheServed   uint64       `json:"cache_served"`
 	Coalesced     uint64       `json:"coalesced"`
-	BatchRequests uint64       `json:"batch_requests"`
-	BatchItems    uint64       `json:"batch_items"`
-	BatchDeduped  uint64       `json:"batch_deduped"`
 	SlowQueries   uint64       `json:"slow_queries"`
 	InFlight      int64        `json:"in_flight"`
 	BusyWorkers   int          `json:"busy_workers"`
@@ -218,9 +211,6 @@ func (m *serverMetrics) snapshot(cache *resultCache, adm *admission, eng statzEn
 		Canceled:      m.canceled.Load(),
 		CacheServed:   m.cacheServ.Load(),
 		Coalesced:     m.coalesced.Load(),
-		BatchRequests: m.batchRequests.Load(),
-		BatchItems:    m.batchItems.Load(),
-		BatchDeduped:  m.batchDeduped.Load(),
 		SlowQueries:   m.slowQueries.Load(),
 		InFlight:      m.inFlight.Load(),
 		BusyWorkers:   adm.busy(),

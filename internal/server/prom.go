@@ -28,8 +28,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	hits, misses, evictions := s.cache.counters()
 
 	var b bytes.Buffer
-	promCounter(&b, "gqbe_requests_total",
-		"Query requests received (batch items counted individually).", m.requests.Load())
+	promCounter(&b, "gqbe_requests_total", "Query requests received.", m.requests.Load())
 
 	promHeader(&b, "gqbe_query_outcomes_total",
 		"Query requests by final outcome; the series sum equals gqbe_requests_total minus requests still in flight.", "counter")
@@ -55,10 +54,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"Query requests answered from the result cache.", m.cacheServ.Load())
 	promCounter(&b, "gqbe_coalesced_total",
 		"Query requests answered by joining an identical in-flight search.", m.coalesced.Load())
-	promCounter(&b, "gqbe_batch_requests_total", "POST /v1/query:batch envelopes received.", m.batchRequests.Load())
-	promCounter(&b, "gqbe_batch_items_total", "Individual queries carried by accepted batches.", m.batchItems.Load())
-	promCounter(&b, "gqbe_batch_deduped_total",
-		"Batch items answered by an identical item in the same batch.", m.batchDeduped.Load())
 	promCounter(&b, "gqbe_slow_queries_total",
 		"Requests whose total handling time reached the slow-query threshold.", m.slowQueries.Load())
 
@@ -73,7 +68,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "gqbe_reloads_total{outcome=%q} %d\n", "ok", m.reloadsOK.Load())
 	fmt.Fprintf(&b, "gqbe_reloads_total{outcome=%q} %d\n", "rejected", m.reloadsRejected.Load())
 	promCounter(&b, "gqbe_brownouts_total",
-		"Searches executed under the brownout clamp (reduced k-prime and evaluation budget).", m.brownouts.Load())
+		"Searches executed under the brownout evaluation cap.", m.brownouts.Load())
 	promHeader(&b, "gqbe_search_stopped_total",
 		"Engine searches by why the lattice search stopped (cache hits and coalesced answers excluded).", "counter")
 	for i, r := range stopReasons {

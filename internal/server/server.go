@@ -17,10 +17,7 @@
 //     error;
 //   - singleflight coalescing in front of the cache, so N concurrent
 //     identical misses share one engine search instead of burning N worker
-//     slots on the same work (see flightGroup);
-//   - a batch endpoint that amortizes admission and cache lookups across a
-//     request set, deduplicating identical items and bounding per-batch
-//     engine concurrency (see handleBatch).
+//     slots on the same work (see flightGroup).
 //
 // The serving layer is also where query observability surfaces: every
 // request can carry an obs.Tracer through admission, the engine, and the
@@ -30,8 +27,8 @@
 // and requests slower than Config.SlowQuery are logged with their span tree.
 //
 // Endpoints: POST /v1/query (single- and multi-tuple queries),
-// POST /v1/query:batch, POST /v1/query:explain, GET /v1/entity/{name},
-// GET /healthz, GET /statz, GET /metrics.
+// POST /v1/query:explain, GET /v1/entity/{name}, GET /healthz, GET /statz,
+// GET /metrics.
 package server
 
 import (
@@ -107,13 +104,6 @@ type Config struct {
 	// negative sentinel survives normalization, so filling a Config twice
 	// (WithDefaults then New) cannot silently re-enable the floor.
 	CacheMinLatency time.Duration
-	// MaxBatchItems caps how many queries one POST /v1/query:batch request
-	// may carry (default 64).
-	MaxBatchItems int
-	// MaxBatchConcurrency bounds how many of one batch's distinct queries
-	// run at once (default 4, never above MaxConcurrent): a single batch
-	// must not monopolize the worker pool against interactive traffic.
-	MaxBatchConcurrency int
 	// Trace attaches a tracer to every query, so each request's span tree is
 	// recorded (and debug-logged) even below the SlowQuery threshold.
 	// /v1/query:explain is always traced regardless of this setting; plain
@@ -148,15 +138,11 @@ type Config struct {
 	// never go stale.
 	StaleTTL time.Duration
 	// BrownoutQueue, when positive, engages brownout mode while the
-	// admission queue depth is at or past it: searches run with KPrime
-	// clamped to BrownoutKPrime and evaluations capped at
-	// BrownoutMaxEvaluations, and answers are labeled "browned_out" —
-	// partial service under sustained saturation instead of pure shedding.
-	// 0 disables brownout.
+	// admission queue depth is at or past it: searches run with evaluations
+	// capped at BrownoutMaxEvaluations, and answers are labeled
+	// "browned_out" — partial service under sustained saturation instead of
+	// pure shedding. 0 disables brownout.
 	BrownoutQueue int
-	// BrownoutKPrime is the candidate-list clamp under brownout (default 32;
-	// the paper's default k′ is 100+).
-	BrownoutKPrime int
 	// BrownoutMaxEvaluations caps lattice-node evaluations per search under
 	// brownout (default 512).
 	BrownoutMaxEvaluations int
@@ -201,23 +187,11 @@ func (c *Config) fill() {
 	if c.CacheMinLatency == 0 {
 		c.CacheMinLatency = time.Millisecond
 	}
-	if c.MaxBatchItems <= 0 {
-		c.MaxBatchItems = 64
-	}
-	if c.MaxBatchConcurrency <= 0 {
-		c.MaxBatchConcurrency = 4
-	}
-	if c.MaxBatchConcurrency > c.MaxConcurrent {
-		c.MaxBatchConcurrency = c.MaxConcurrent
-	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
 	if c.StaleTTL == 0 {
 		c.StaleTTL = time.Minute
-	}
-	if c.BrownoutKPrime <= 0 {
-		c.BrownoutKPrime = 32
 	}
 	if c.BrownoutMaxEvaluations <= 0 {
 		c.BrownoutMaxEvaluations = 512
@@ -340,7 +314,6 @@ func New(eng *gqbe.Engine, cfg Config) *Server {
 	// Method routing is done in the handlers (not mux patterns) so the
 	// binary behaves identically across Go releases.
 	s.mux.HandleFunc("/v1/query", s.handleQuery)
-	s.mux.HandleFunc("/v1/query:batch", s.handleBatch)
 	s.mux.HandleFunc("/v1/query:explain", s.handleExplain)
 	s.mux.HandleFunc("/v1/entity/", s.handleEntity)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -510,8 +483,7 @@ type statsJSON struct {
 	Terminated     bool    `json:"terminated"`
 }
 
-// queryResponse is the POST /v1/query success body (and one item's result
-// in a /v1/query:batch response).
+// queryResponse is the POST /v1/query success body.
 type queryResponse struct {
 	Answers []answerJSON `json:"answers"`
 	Stats   statsJSON    `json:"stats"`
@@ -519,16 +491,13 @@ type queryResponse struct {
 	// Coalesced marks an answer obtained by joining an identical in-flight
 	// search instead of running one.
 	Coalesced bool `json:"coalesced,omitempty"`
-	// Deduped marks a batch item answered by an identical item in the same
-	// batch.
-	Deduped bool `json:"deduped,omitempty"`
 	// Stale marks a degraded answer: the live computation failed and a
 	// previously computed result was served in its place (its age rides in
 	// the response's Age header). Only possible with Config.StaleServe on.
 	Stale bool `json:"stale,omitempty"`
-	// BrownedOut marks an answer computed under the brownout clamp (reduced
-	// candidate list and evaluation budget): correct as far as it goes, but
-	// possibly missing answers a full search would have ranked.
+	// BrownedOut marks an answer computed under the brownout evaluation cap:
+	// correct as far as it goes, but possibly missing answers a full search
+	// would have ranked.
 	BrownedOut bool `json:"browned_out,omitempty"`
 	// Partial marks a fleet answer merged without every shard: the listed
 	// shards failed or timed out, so answers they own are absent from the
@@ -540,7 +509,7 @@ type queryResponse struct {
 }
 
 // Request-validation sentinels. normalize's errors cross the server
-// boundary as 400 bodies and batch per-item errors; package-level sentinels
+// boundary as 400 bodies; package-level sentinels
 // (wrapped with %w where the message needs the offending numbers) keep them
 // matchable with errors.Is instead of minting a fresh anonymous error per
 // request.
@@ -649,6 +618,19 @@ func keyFor(eg *engineGen, tuples [][]string, o gqbe.Options) string {
 	return "g" + strconv.FormatUint(eg.gen, 10) + "|" + cacheKeyFor(tuples, o)
 }
 
+// unknownEntity returns the first entity name in tuples the engine does not
+// know, with ok=false; ok=true means every name resolves.
+func unknownEntity(eng *gqbe.Engine, tuples [][]string) (string, bool) {
+	for _, t := range tuples {
+		for _, name := range t {
+			if !eng.HasEntity(name) {
+				return name, false
+			}
+		}
+	}
+	return "", true
+}
+
 // handleQuery is POST /v1/query.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -662,8 +644,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Request-ID", reqID)
 	start := time.Now()
 	defer func() { s.met.totalLat.Observe(time.Since(start)) }()
-	// Recover engine panics into a 500 (matching the batch path): letting
-	// them reach net/http's recover would kill the connection with the
+	// Recover engine panics into a 500: letting them reach net/http's recover would kill the connection with the
 	// request counted in `requests` but in no outcome counter, silently
 	// breaking the /statz accounting invariant.
 	defer func() {
@@ -700,7 +681,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	tr := s.newTracer()
 	key := keyFor(eg, tuples, opts)
-	res, flags, err := s.answer(r.Context(), eg, key, tuples, opts, s.effectiveTimeout(req.TimeoutMillis), req.NoCache, nil, tr)
+	res, flags, err := s.answer(r.Context(), eg, key, tuples, opts, s.effectiveTimeout(req.TimeoutMillis), req.NoCache, tr)
 	s.logQuery(reqID, "/v1/query", tuples, time.Since(start), res, flags, err, tr.Finish())
 	if err != nil {
 		s.writeQueryError(w, err, res)
@@ -739,21 +720,15 @@ func (s *Server) effectiveTimeout(timeoutMillis int) time.Duration {
 type answerFlags struct {
 	cached    bool // served from the result cache
 	coalesced bool // served by joining an identical in-flight search
-	deduped   bool // (batch only) served by an identical item in the same batch
 
 	stale      bool          // live computation failed; a retained cache entry was served
 	staleAge   time.Duration // age of that entry (Age response header)
-	brownedOut bool          // computed under the brownout clamp
+	brownedOut bool          // computed under the brownout evaluation cap
 }
 
 // answer serves one normalized query through the full serving stack: result
 // cache, then singleflight coalescing, then admission + engine. It is the
-// shared core of /v1/query and /v1/query:batch.
-//
-// gate, when non-nil, is a batch's local concurrency bound: it is held only
-// around real engine runs — cache hits and coalescing followers consume
-// neither a gate slot nor a worker slot, so a batch of mostly-warm queries
-// overlaps fully. /v1/query passes nil.
+// shared core of /v1/query and /v1/query:explain.
 //
 // Cache hits and coalesced answers are counted but deliberately NOT recorded
 // in the search-latency histogram: their microsecond-to-wait times would
@@ -770,8 +745,8 @@ type answerFlags struct {
 // TTL): the client gets an old correct answer labeled stale instead of an
 // error. Client-attributable outcomes — cancellation, deadline (which may
 // carry a partial result), unknown entities — are never masked this way.
-func (s *Server) answer(ctx context.Context, eg *engineGen, key string, tuples [][]string, opts gqbe.Options, timeout time.Duration, noCache bool, gate chan struct{}, tr *obs.Tracer) (*gqbe.Result, answerFlags, error) {
-	res, flags, err := s.answerLive(ctx, eg, key, tuples, opts, timeout, noCache, gate, tr)
+func (s *Server) answer(ctx context.Context, eg *engineGen, key string, tuples [][]string, opts gqbe.Options, timeout time.Duration, noCache bool, tr *obs.Tracer) (*gqbe.Result, answerFlags, error) {
+	res, flags, err := s.answerLive(ctx, eg, key, tuples, opts, timeout, noCache, tr)
 	// no_cache requests asked to measure the live path; degrading them to a
 	// cached entry would defeat their purpose.
 	if err == nil || noCache || !s.cfg.StaleServe || !staleEligible(err) {
@@ -797,31 +772,11 @@ func staleEligible(err error) bool {
 }
 
 // answerLive is answer's live path: cache, singleflight, admission + engine.
-func (s *Server) answerLive(ctx context.Context, eg *engineGen, key string, tuples [][]string, opts gqbe.Options, timeout time.Duration, noCache bool, gate chan struct{}, tr *obs.Tracer) (*gqbe.Result, answerFlags, error) {
-	acquireGate := func(waitOn context.Context) error {
-		if gate == nil {
-			return nil
-		}
-		select {
-		case gate <- struct{}{}:
-			return nil
-		case <-waitOn.Done():
-			return waitOn.Err()
-		}
-	}
-	releaseGate := func() {
-		if gate != nil {
-			<-gate
-		}
-	}
+func (s *Server) answerLive(ctx context.Context, eg *engineGen, key string, tuples [][]string, opts gqbe.Options, timeout time.Duration, noCache bool, tr *obs.Tracer) (*gqbe.Result, answerFlags, error) {
 	if noCache {
 		// no_cache exists to measure the engine, so it bypasses the flight
 		// group too: it must neither read shared state nor publish its
 		// result to followers.
-		if err := acquireGate(ctx); err != nil {
-			return nil, answerFlags{}, err
-		}
-		defer releaseGate()
 		res, _, bo, err := s.execute(ctx, eg, tuples, opts, timeout, nil, tr)
 		return res, answerFlags{brownedOut: bo}, err
 	}
@@ -849,36 +804,14 @@ func (s *Server) answerLive(ctx context.Context, eg *engineGen, key string, tupl
 			}
 		}
 		// A promoted follower has already spent part of its budget waiting:
-		// gate waits and the execution (the qctx inside execute takes the
-		// tighter deadline) run under the remaining wait budget, not a
-		// fresh full timeout.
+		// the execution (the qctx inside execute takes the tighter deadline)
+		// runs under the remaining wait budget, not a fresh full timeout.
 		runCtx := ctx
 		if retried {
 			runCtx = wait
 		}
-		var f *flight
-		leader := false
-		if gate == nil {
-			f, leader = s.flights.join(key)
-		} else if ef, ok := s.flights.joinExisting(key); ok {
-			// A flight is already live: follow it gate-free — the gate
-			// bounds this batch's engine runs, and following runs nothing.
-			f = ef
-		} else {
-			// Take the gate slot BEFORE leadership: a leader stalled on the
-			// gate would hold its key's flight hostage — every external
-			// request for the key would coalesce onto a leader that has not
-			// even started, instead of running on free workers.
-			if err := acquireGate(runCtx); err != nil {
-				return nil, answerFlags{}, err
-			}
-			f, leader = s.flights.join(key)
-			if !leader {
-				releaseGate() // lost the creation race; follow gate-free
-			}
-		}
+		f, leader := s.flights.join(key)
 		if leader {
-			defer releaseGate() // deferred so an engine panic cannot leak a gate slot
 			res, err := s.runFlight(runCtx, eg, key, f, tuples, opts, timeout, tr)
 			return res, answerFlags{brownedOut: f.brownedOut}, err
 		}
@@ -896,10 +829,6 @@ func (s *Server) answerLive(ctx context.Context, eg *engineGen, key string, tupl
 				// makes its own concurrent admission attempt under its
 				// remaining budget, exactly as if it had never coalesced.
 				// At worst a freed-up slot lets a few duplicates search.
-				if err := acquireGate(wait); err != nil {
-					return nil, answerFlags{}, err
-				}
-				defer releaseGate()
 				res, searched, bo, err := s.execute(wait, eg, tuples, opts, timeout, nil, tr)
 				if err == nil && wait.Err() == nil && !bo {
 					s.cachePut(key, res, searched)
@@ -1065,7 +994,7 @@ func (s *Server) execute(ctx context.Context, eg *engineGen, tuples [][]string, 
 		s.execHook()
 	}
 	// The tracer is applied here — after cache-key construction, for every
-	// path that reaches the engine (query, batch, no_cache, explain) — so a
+	// path that reaches the engine (query, no_cache, explain) — so a
 	// traced request records the engine's own stage spans under the
 	// "engine" span below.
 	opts.Tracer = tr
@@ -1103,16 +1032,11 @@ func (s *Server) brownoutActive() bool {
 	return s.cfg.BrownoutQueue > 0 && s.adm.queueDepth() >= s.cfg.BrownoutQueue
 }
 
-// brownoutClamp applies the degraded search budget: a short candidate list
-// and a hard evaluation cap, so each admitted search finishes in a small,
-// predictable slice of the engine's normal work and the queue drains.
+// brownoutClamp applies the degraded search budget: a hard evaluation cap,
+// so each admitted search finishes in a small, predictable slice of the
+// engine's normal work and the queue drains. K and k′ are left as asked: the
+// cap is what saves the work.
 func brownoutClamp(opts gqbe.Options, cfg Config) gqbe.Options {
-	if opts.KPrime > cfg.BrownoutKPrime {
-		opts.KPrime = cfg.BrownoutKPrime
-	}
-	if opts.K > opts.KPrime {
-		opts.K = opts.KPrime
-	}
 	if opts.MaxEvaluations == 0 || opts.MaxEvaluations > cfg.BrownoutMaxEvaluations {
 		opts.MaxEvaluations = cfg.BrownoutMaxEvaluations
 	}
@@ -1135,11 +1059,9 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error, res *gqbe.Res
 }
 
 // classifyQueryError is the single place execution errors become (status,
-// error detail) pairs and outcome counters — shared by /v1/query and each
-// /v1/query:batch item, so both report identically on /statz. Every call
-// accounts one request's outcome; for a deduped batch group it runs once per
-// item, keeping requests == served + errored + rejected + timeouts +
-// canceled exact.
+// error detail) pairs and outcome counters. Every call accounts one
+// request's outcome, keeping requests == served + errored + rejected +
+// timeouts + canceled exact.
 func (s *Server) classifyQueryError(err error) (int, errorDetail) {
 	switch {
 	case errors.Is(err, errSaturated):
@@ -1200,7 +1122,6 @@ func toResponse(res *gqbe.Result, flags answerFlags) queryResponse {
 		Stats:      toStatsJSON(res),
 		Cached:     flags.cached,
 		Coalesced:  flags.coalesced,
-		Deduped:    flags.deduped,
 		Stale:      flags.stale,
 		BrownedOut: flags.brownedOut,
 	}

@@ -22,9 +22,9 @@ type flight struct {
 	res           *gqbe.Result
 	err           error
 	// brownedOut records that the leader computed res under the brownout
-	// clamp (reduced k′ / capped evaluations). Written before done closes,
-	// read by followers after: they must label their responses degraded too —
-	// a coalesced answer is the same partial answer.
+	// evaluation cap. Written before done closes, read by followers after:
+	// they must label their responses degraded too — a coalesced answer is
+	// the same partial answer.
 	brownedOut bool
 	// waiters counts followers that joined this flight, guarded by the
 	// owning group's mu. Test instrumentation: lets a test block the leader
@@ -74,21 +74,6 @@ func (f *flight) searchElapsed() time.Duration {
 		return 0
 	}
 	return time.Since(f.searchStarted)
-}
-
-// joinExisting joins key's flight as a follower if one is live; ok=false
-// means no flight exists and the caller must decide whether to lead one.
-// Unlike join it never takes leadership, so a caller can defer that decision
-// until it holds whatever resources leading requires (e.g. a batch gate
-// slot).
-func (g *flightGroup) joinExisting(key string) (*flight, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if f, ok := g.m[key]; ok {
-		f.waiters++
-		return f, true
-	}
-	return nil, false
 }
 
 // finish publishes the leader's outcome to f's followers and retires the

@@ -174,7 +174,7 @@ func TestSingleflightDoomedRetrySkipped(t *testing.T) {
 	defer cancelLeader()
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := s.answer(leaderCtx, s.engine(), key, tuples, opts, 20*time.Millisecond, false, nil, nil)
+		_, _, err := s.answer(leaderCtx, s.engine(), key, tuples, opts, 20*time.Millisecond, false, nil)
 		leaderErr <- err
 	}()
 	waitUntil(t, 5*time.Second, func() bool { return execs.Load() == 1 },
@@ -183,7 +183,7 @@ func TestSingleflightDoomedRetrySkipped(t *testing.T) {
 	// the leader dies at ~1s, the follower's ~100ms remainder is below the
 	// flight's ~1s age, so a retry could never outlast what already failed.
 	time.Sleep(300 * time.Millisecond)
-	_, flags, ferr := s.answer(context.Background(), s.engine(), key, tuples, opts, 795*time.Millisecond, false, nil, nil)
+	_, flags, ferr := s.answer(context.Background(), s.engine(), key, tuples, opts, 795*time.Millisecond, false, nil)
 
 	if !errors.Is(ferr, context.DeadlineExceeded) {
 		t.Fatalf("follower err = %v, want context.DeadlineExceeded", ferr)
@@ -249,7 +249,7 @@ func TestSingleflightLeaderCancelNotShared(t *testing.T) {
 	defer cancelLeader()
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := s.answer(leaderCtx, s.engine(), key, tuples, opts, 10*time.Second, false, nil, nil)
+		_, _, err := s.answer(leaderCtx, s.engine(), key, tuples, opts, 10*time.Second, false, nil)
 		leaderErr <- err
 	}()
 	waitUntil(t, 5*time.Second, func() bool { return execs.Load() == 1 },
@@ -262,7 +262,7 @@ func TestSingleflightLeaderCancelNotShared(t *testing.T) {
 	}
 	followerDone := make(chan followerOut, 1)
 	go func() {
-		res, flags, err := s.answer(context.Background(), s.engine(), key, tuples, opts, 10*time.Second, false, nil, nil)
+		res, flags, err := s.answer(context.Background(), s.engine(), key, tuples, opts, 10*time.Second, false, nil)
 		followerDone <- followerOut{res, flags, err}
 	}()
 	waitUntil(t, 5*time.Second, func() bool { return s.flights.followerCount(key) == 1 },

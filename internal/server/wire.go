@@ -19,7 +19,7 @@ import (
 // a response struct is immediately visible to the router, and a value
 // decoded by the router is the same type the server encodes.
 type (
-	// QueryRequest is the POST /v1/query (and batch item) body.
+	// QueryRequest is the POST /v1/query body.
 	QueryRequest = queryRequest
 	// QueryResponse is the POST /v1/query success body.
 	QueryResponse = queryResponse
@@ -31,12 +31,6 @@ type (
 	ErrorBody = errorBody
 	// ErrorDetail is the code/message payload of ErrorBody.
 	ErrorDetail = errorDetail
-	// BatchRequest is the POST /v1/query:batch body.
-	BatchRequest = batchRequest
-	// BatchItemJSON is one per-item outcome in a batch response.
-	BatchItemJSON = batchItemJSON
-	// BatchResponse is the POST /v1/query:batch success body.
-	BatchResponse = batchResponse
 	// ExplainJSON is the POST /v1/query:explain success body.
 	ExplainJSON = explainResponse
 	// SpanJSON is one span of an explain trace tree.
@@ -45,17 +39,14 @@ type (
 	ExplainServingJSON = explainServing
 )
 
-// Body-size limits, shared so the router enforces the same envelope policy
-// as the daemons behind it.
-const (
-	MaxBodyBytes      = maxBodyBytes
-	MaxBatchBodyBytes = maxBatchBodyBytes
-)
+// MaxBodyBytes is the query body-size limit, shared so the router enforces
+// the same envelope policy as the daemons behind it.
+const MaxBodyBytes = maxBodyBytes
 
 // Normalize validates the request and resolves every option default,
 // returning the tuples and engine options a server would run it with. This
-// is the exported face of the per-request normalization both /v1/query and
-// the batch items go through; the router uses it to validate before fan-out
+// is the exported face of the per-request normalization /v1/query goes
+// through; the router uses it to validate before fan-out
 // (rejecting bad requests without burning a round trip) and to derive cache
 // keys that agree with shard-side semantics.
 func (q *queryRequest) Normalize() ([][]string, gqbe.Options, error) {
@@ -104,6 +95,3 @@ func PromGauge(b *bytes.Buffer, name, help string, v float64) { promGauge(b, nam
 func PromHistogram(b *bytes.Buffer, name, help string, snap obs.HistSnapshot) {
 	promHistogram(b, name, help, snap)
 }
-
-// PromFloat renders a float the way the exposition format expects.
-func PromFloat(v float64) string { return promFloat(v) }

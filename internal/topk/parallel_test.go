@@ -120,8 +120,8 @@ func TestParallelSearchRowBudgetSkips(t *testing.T) {
 	checkParallelOracle(t, "row-budget", store, lat, exclude, opts)
 }
 
-// TestParallelSearchCanceled: searches sharing one canceled context (a
-// canceled batch request) each return a partial Result with StopCanceled
+// TestParallelSearchCanceled: searches sharing one canceled context (one
+// canceled request) each return a partial Result with StopCanceled
 // alongside the context error (anytime answers).
 func TestParallelSearchCanceled(t *testing.T) {
 	_, store, lat, exclude := pipeline(t, "Jerry Yang", "Yahoo!")
