@@ -46,8 +46,8 @@ import (
 )
 
 // Config tunes a Router. Zero fields select the defaults documented on each
-// field; the query-policy fields (timeouts, queue wait) should
-// match the shard daemons' so the router's admission view agrees with theirs.
+// field; the query-policy fields (timeouts, queue wait) should match the
+// shard daemons' so the router's admission view agrees with theirs.
 type Config struct {
 	// Shards are the shard daemons' base URLs in shard-index order
 	// (http://host:port). Required; order must match the fleet manifest.

@@ -509,10 +509,9 @@ type queryResponse struct {
 }
 
 // Request-validation sentinels. normalize's errors cross the server
-// boundary as 400 bodies; package-level sentinels
-// (wrapped with %w where the message needs the offending numbers) keep them
-// matchable with errors.Is instead of minting a fresh anonymous error per
-// request.
+// boundary as 400 bodies; package-level sentinels (wrapped with %w where the
+// message needs the offending numbers) keep them matchable with errors.Is
+// instead of minting a fresh anonymous error per request.
 var (
 	errTupleForms     = errors.New(`set either "tuple" or "tuples", not both`)
 	errTupleRequired  = errors.New(`one of "tuple" or "tuples" is required`)
@@ -644,9 +643,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Request-ID", reqID)
 	start := time.Now()
 	defer func() { s.met.totalLat.Observe(time.Since(start)) }()
-	// Recover engine panics into a 500: letting them reach net/http's recover would kill the connection with the
-	// request counted in `requests` but in no outcome counter, silently
-	// breaking the /statz accounting invariant.
+	// Recover engine panics into a 500: letting them reach net/http's
+	// recover would kill the connection with the request counted in
+	// `requests` but in no outcome counter, silently breaking the /statz
+	// accounting invariant.
 	defer func() {
 		if p := recover(); p != nil {
 			s.cfg.Logger.Error("panic serving query",
