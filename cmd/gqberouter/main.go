@@ -18,9 +18,10 @@
 // the other half's answers).
 //
 // Degraded mode: a slow or dead shard yields a 200 with "partial": true and
-// the missing shards named — never a 500. With -stale-serve, a query every
-// shard failed is answered from the router's merged-result cache (labeled
-// stale, with an Age header) when it retains the key.
+// the missing shards named — never a 500. The router keeps no cache: caching,
+// coalescing and stale serving (gqbed -stale-serve) happen on the shards, and
+// the merged response carries their labels ("stale" and the Age header when
+// any shard served stale; "cached" and "coalesced" when every shard did).
 //
 // Endpoints: POST /v1/query, /v1/query:explain (both merged across the
 // fleet), GET /v1/entity/{name} (proxied), GET /healthz (fleet
@@ -52,14 +53,10 @@ func main() {
 		addr   = flag.String("addr", ":8090", "listen address")
 		fleetP = flag.String("fleet", "", "optional fleet.json manifest (from cmd/kgshard) to cross-check the shard count and scheme against")
 
-		timeout      = flag.Duration("timeout", 10*time.Second, "default per-query deadline")
-		maxTimeout   = flag.Duration("max-timeout", 60*time.Second, "cap on client-requested deadlines")
-		queueWait    = flag.Duration("queue-wait", time.Second, "shard-side admission queue bound (sizes the per-shard call budget)")
-		cacheEntries = flag.Int("cache-entries", 1024, "merged-result cache capacity in entries (negative disables)")
-		cacheShards  = flag.Int("cache-shards", 16, "merged-result cache shard count")
-		staleServe   = flag.Bool("stale-serve", false, "serve retained merged results (labeled stale, with an Age header) when every shard fails")
-		staleTTL     = flag.Duration("stale-ttl", 0, "merged-result cache freshness horizon (0 = 1m default, negative = never stale)")
-		retries      = flag.Int("retries", 1, "transport-error retries per shard call (negative disables)")
+		timeout    = flag.Duration("timeout", 10*time.Second, "default per-query deadline")
+		maxTimeout = flag.Duration("max-timeout", 60*time.Second, "cap on client-requested deadlines")
+		queueWait  = flag.Duration("queue-wait", time.Second, "shard-side admission queue bound (sizes the per-shard call budget)")
+		retries    = flag.Int("retries", 1, "transport-error retries per shard call (negative disables)")
 	)
 	flag.Parse()
 
@@ -91,10 +88,6 @@ func main() {
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		MaxQueueWait:   *queueWait,
-		CacheEntries:   *cacheEntries,
-		CacheShards:    *cacheShards,
-		StaleServe:     *staleServe,
-		StaleTTL:       *staleTTL,
 		Retries:        *retries,
 		Logger:         logger,
 	})

@@ -12,7 +12,11 @@
 //     gqbe_recovered_panics_total, gqbe_stale_served_total,
 //     gqbe_reloads_total, gqbe_brownouts_total, gqbe_engine_generation)
 //     must be present — a refactor that drops one would otherwise blind the
-//     failure-mode dashboards silently;
+//     failure-mode dashboards silently. With -router the file is a
+//     gqberouter scrape and the fleet families are required instead
+//     (requests, outcomes, fan-out, shard errors, partial merges, stats
+//     mismatches, shard latency, shard count); stale serving is counted on
+//     the shards, so the router has no stale family;
 //   - -explain FILE: the body of POST /v1/query:explain must carry the
 //     documented schema — request_id, answers, stats, lattice, node_evals,
 //     trace, serving — with the cross-field invariants the server promises:
@@ -23,6 +27,7 @@
 // Usage:
 //
 //	metricslint -metrics metrics.txt -explain explain.json
+//	metricslint -router -metrics router-metrics.txt
 //
 // Exit status is non-zero if any finding is reported; each finding is one
 // line on stderr.
@@ -104,8 +109,8 @@ var gqbeRequiredFamilies = []string{
 
 // routerRequiredFamilies are the fleet-health families gqberouter's /metrics
 // contractually exposes (-router): the degraded-mode dashboards — partial
-// merges, shard errors, stale serving, trajectory-divergence alarms — go
-// blind if any of these disappears.
+// merges, shard errors, trajectory-divergence alarms — go blind if any of
+// these disappears.
 var routerRequiredFamilies = []string{
 	"gqbe_router_requests_total",
 	"gqbe_router_outcomes_total",
@@ -113,7 +118,6 @@ var routerRequiredFamilies = []string{
 	"gqbe_router_shard_errors_total",
 	"gqbe_router_partial_total",
 	"gqbe_router_stats_mismatch_total",
-	"gqbe_router_stale_served_total",
 	"gqbe_router_shard_latency_seconds",
 	"gqbe_router_shards",
 }

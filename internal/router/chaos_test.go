@@ -3,16 +3,17 @@ package router
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gqbe/internal/fault"
 	"gqbe/internal/server"
 )
 
@@ -162,7 +163,7 @@ func TestChaosPartialModes(t *testing.T) {
 	for _, mode := range modes {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
-			f := newFleet(t, eng, 4, 0, onShard(victim, mode.mw), chaosRouterConfig())
+			f := newFleet(t, eng, 4, server.Config{}, onShard(victim, mode.mw), chaosRouterConfig())
 			w := post(t, f.rt, "/v1/query", body)
 			if w.Code != http.StatusOK {
 				t.Fatalf("degraded query status = %d, want 200; body %s", w.Code, w.Body.String())
@@ -182,45 +183,13 @@ func TestChaosPartialModes(t *testing.T) {
 	}
 }
 
-// TestChaosPartialNeverCached pins the cache rule: a partial merge must not
-// be served to a later query that could get the full ranking.
-func TestChaosPartialNeverCached(t *testing.T) {
-	eng := fig1Engine(t)
-	var down atomic.Bool
-	down.Store(true)
-	toggled := func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if down.Load() {
-				server.WriteError(w, http.StatusInternalServerError, "internal", "injected fault")
-				return
-			}
-			h.ServeHTTP(w, r)
-		})
-	}
-	f := newFleet(t, eng, 2, 0, onShard(1, toggled), chaosRouterConfig())
-	body := `{"tuple":["Jerry Yang","Yahoo!"],"k":10}`
-
-	first := decodeQueryResp(t, post(t, f.rt, "/v1/query", body))
-	if !first.Partial {
-		t.Fatal("setup: first query should be partial")
-	}
-	down.Store(false)
-	second := decodeQueryResp(t, post(t, f.rt, "/v1/query", body))
-	if second.Cached {
-		t.Fatal("partial merge was cached and served to a later query")
-	}
-	if second.Partial {
-		t.Fatalf("recovered fleet still partial: %+v", second)
-	}
-}
-
 // TestChaosExplainPartial pins explain's degraded contract: merged 200 with
 // partial=true, the dead shard named in the error detail, and the trace
 // carrying only the shards that answered.
 func TestChaosExplainPartial(t *testing.T) {
 	eng := fig1Engine(t)
 	const victim = 1
-	f := newFleet(t, eng, 3, 0, onShard(victim, faultStatus(http.StatusInternalServerError, "internal")), chaosRouterConfig())
+	f := newFleet(t, eng, 3, server.Config{}, onShard(victim, faultStatus(http.StatusInternalServerError, "internal")), chaosRouterConfig())
 	w := post(t, f.rt, "/v1/query:explain", `{"tuple":["Jerry Yang","Yahoo!"],"k":10}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("explain status = %d, body %s", w.Code, w.Body.String())
@@ -265,7 +234,7 @@ func TestChaosAllShardsFailed(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			f := newFleet(t, eng, 2, 0, func(i int, h http.Handler) http.Handler {
+			f := newFleet(t, eng, 2, server.Config{}, func(i int, h http.Handler) http.Handler {
 				return queryPathsOnly(tc.mw)(h)
 			}, chaosRouterConfig())
 			w := post(t, f.rt, "/v1/query", body)
@@ -286,84 +255,18 @@ func TestChaosAllShardsFailed(t *testing.T) {
 	}
 }
 
-// TestChaosStaleServe pins fleet-level degraded serving: with StaleServe on,
-// a query the whole fleet fails is answered from the router's retained
-// merged result — labeled stale, with an Age header — and with StaleServe
-// off the same situation is the classified error.
-func TestChaosStaleServe(t *testing.T) {
-	eng := fig1Engine(t)
-	body := `{"tuple":["Jerry Yang","Yahoo!"],"k":10}`
-	for _, enabled := range []bool{true, false} {
-		enabled := enabled
-		t.Run(fmt.Sprintf("stale_serve=%v", enabled), func(t *testing.T) {
-			var down atomic.Bool
-			toggled := func(i int, h http.Handler) http.Handler {
-				return queryPathsOnly(func(h http.Handler) http.Handler {
-					return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-						if down.Load() {
-							server.WriteError(w, http.StatusServiceUnavailable, "unavailable", "injected outage")
-							return
-						}
-						h.ServeHTTP(w, r)
-					})
-				})(h)
-			}
-			cfg := chaosRouterConfig()
-			cfg.StaleServe = enabled
-			cfg.StaleTTL = 10 * time.Millisecond
-			f := newFleet(t, eng, 2, 0, toggled, cfg)
-
-			warm := decodeQueryResp(t, post(t, f.rt, "/v1/query", body))
-			if warm.Partial || warm.Stale {
-				t.Fatalf("setup: warm query degraded: %+v", warm)
-			}
-			// Let the entry age past the soft TTL so the next lookup re-scatters
-			// into the outage instead of hitting the fresh cache.
-			time.Sleep(20 * time.Millisecond)
-			down.Store(true)
-
-			w := post(t, f.rt, "/v1/query", body)
-			if !enabled {
-				if w.Code != http.StatusServiceUnavailable {
-					t.Fatalf("outage without stale-serve: status = %d, want 503; body %s", w.Code, w.Body.String())
-				}
-				return
-			}
-			if w.Code != http.StatusOK {
-				t.Fatalf("stale-serve status = %d, body %s", w.Code, w.Body.String())
-			}
-			res := decodeQueryResp(t, w)
-			if !res.Stale {
-				t.Fatal("outage answer not labeled stale")
-			}
-			if w.Header().Get("Age") == "" {
-				t.Error("stale answer without an Age header")
-			}
-			res.Stale = false
-			zeroTimings(&res)
-			zeroTimings(&warm)
-			if !reflect.DeepEqual(res, warm) {
-				t.Fatalf("stale answer diverged from the retained result:\nstale %+v\nwarm  %+v", res, warm)
-			}
-		})
-	}
-}
-
-// TestChaosBrownoutOR pins brownout propagation: one shard answering under
-// brownout is enough to label the merged response browned_out.
-func TestChaosBrownoutOR(t *testing.T) {
-	eng := fig1Engine(t)
-	// Rewrite shard 1's responses to carry the brownout label, the way a
-	// genuinely browned-out daemon would (per-shard fault injection must live
-	// in middleware: the fault registry is process-global).
-	relabel := func(h http.Handler) http.Handler {
+// relabel rewrites a shard's 200 responses with edit, the way a shard in
+// that serving state would label them (per-shard fault injection must live
+// in middleware: the fault registry is process-global).
+func relabel(edit func(*server.QueryResponse)) func(h http.Handler) http.Handler {
+	return func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, r)
 			if rec.Code == http.StatusOK {
 				var qr server.QueryResponse
 				if err := json.Unmarshal(rec.Body.Bytes(), &qr); err == nil {
-					qr.BrownedOut = true
+					edit(&qr)
 					server.WriteJSON(w, http.StatusOK, &qr)
 					return
 				}
@@ -377,13 +280,75 @@ func TestChaosBrownoutOR(t *testing.T) {
 			_, _ = w.Write(rec.Body.Bytes())
 		})
 	}
-	f := newFleet(t, eng, 3, 0, onShard(1, relabel), chaosRouterConfig())
+}
+
+// TestChaosBrownoutOR pins brownout propagation: one shard answering under
+// brownout is enough to label the merged response browned_out.
+func TestChaosBrownoutOR(t *testing.T) {
+	eng := fig1Engine(t)
+	browned := relabel(func(qr *server.QueryResponse) { qr.BrownedOut = true })
+	f := newFleet(t, eng, 3, server.Config{}, onShard(1, browned), chaosRouterConfig())
 	res := decodeQueryResp(t, post(t, f.rt, "/v1/query", `{"tuple":["Jerry Yang","Yahoo!"],"k":10}`))
 	if !res.BrownedOut {
 		t.Fatal("merged response lost one shard's browned_out label")
 	}
 	if res.Partial {
 		t.Fatal("a browned-out shard is degraded service, not a missing shard")
+	}
+}
+
+// TestChaosStaleOR pins stale propagation through the merge: when every
+// shard's engine fails and each shard stale-serves its retained answer, the
+// merged response is labeled stale, carries the oldest shard answer's Age,
+// and holds the warm ranking.
+func TestChaosStaleOR(t *testing.T) {
+	eng := fig1Engine(t)
+	// Shard 1 reports its answers 100 s older than they are, so the merged
+	// Age must be the largest, not the first.
+	older := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			for k, vs := range rec.Header() {
+				w.Header()[k] = vs
+			}
+			if age, err := strconv.Atoi(rec.Header().Get("Age")); err == nil {
+				w.Header().Set("Age", strconv.Itoa(age+100))
+			}
+			w.WriteHeader(rec.Code)
+			_, _ = w.Write(rec.Body.Bytes())
+		})
+	}
+	scfg := server.Config{StaleServe: true, StaleTTL: 10 * time.Millisecond}
+	f := newFleet(t, eng, 2, scfg, onShard(1, older), chaosRouterConfig())
+	const body = `{"tuple":["Jerry Yang","Yahoo!"],"k":10}`
+
+	warm := decodeQueryResp(t, post(t, f.rt, "/v1/query", body))
+	if warm.Stale || warm.Partial {
+		t.Fatalf("setup: warm query degraded: %+v", warm)
+	}
+	// Age the shards' entries past their TTL so the next lookup searches,
+	// then fail every search: each shard falls back to its retained entry.
+	time.Sleep(20 * time.Millisecond)
+	fault.Enable(fault.Config{fault.ExecEvalErr: {Every: 1}})
+	t.Cleanup(fault.Disable)
+
+	w := post(t, f.rt, "/v1/query", body)
+	if w.Code != http.StatusOK {
+		t.Fatalf("stale fleet status = %d, want 200; body %s", w.Code, w.Body.String())
+	}
+	res := decodeQueryResp(t, w)
+	if !res.Stale {
+		t.Fatal("merged response lost the shards' stale label")
+	}
+	if res.Cached || res.Partial {
+		t.Errorf("stale merge mislabeled: cached=%v partial=%v", res.Cached, res.Partial)
+	}
+	if age, err := strconv.Atoi(w.Header().Get("Age")); err != nil || age < 100 {
+		t.Errorf("Age header = %q, want shard 1's (at least 100)", w.Header().Get("Age"))
+	}
+	if !reflect.DeepEqual(res.Answers, warm.Answers) {
+		t.Fatalf("stale ranking diverged from the warm one:\nstale %+v\nwarm  %+v", res.Answers, warm.Answers)
 	}
 }
 
@@ -400,7 +365,7 @@ func TestChaosHealthz(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	}
-	f := newFleet(t, eng, 2, 0, mw, chaosRouterConfig())
+	f := newFleet(t, eng, 2, server.Config{}, mw, chaosRouterConfig())
 	getHealth := func() (int, string) {
 		req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
 		w := httptest.NewRecorder()
@@ -448,7 +413,7 @@ func TestChaosStatzAccounting(t *testing.T) {
 			})
 		})(h)
 	}
-	f := newFleet(t, eng, 2, 0, toggled, chaosRouterConfig())
+	f := newFleet(t, eng, 2, server.Config{}, toggled, chaosRouterConfig())
 
 	const ok = `{"tuple":["Jerry Yang","Yahoo!"],"k":10,"no_cache":true}`
 	// served: healthy queries (one also exercises a deterministic 404, which

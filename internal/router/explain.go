@@ -95,8 +95,7 @@ func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
 		failed = append(failed, sr)
 	}
 	if len(oks) == 0 {
-		// Explain never stale-serves: its point is to measure THIS execution.
-		rt.writeOutcome(w, rt.allShardsFailed(r.Context(), failed, "", true))
+		rt.writeOutcome(w, rt.allShardsFailed(r.Context(), failed))
 		return
 	}
 

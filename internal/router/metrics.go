@@ -28,10 +28,6 @@ type routerMetrics struct {
 	canceled atomic.Uint64 // client went away
 	inFlight atomic.Int64
 
-	cacheServ   atomic.Uint64 // served from the router's merged-result cache
-	coalesced   atomic.Uint64 // served by joining an identical in-flight fan-out
-	staleServed atomic.Uint64 // degraded fleet-down answers from retained cache entries
-
 	partial       atomic.Uint64 // merges returned without every shard
 	statsMismatch atomic.Uint64 // shard stats disagreed on trajectory facts
 	fanout        atomic.Uint64 // shard calls issued (retries included)
@@ -64,13 +60,6 @@ type statzShardJSON struct {
 	Samples  int     `json:"samples"`
 }
 
-type statzCacheJSON struct {
-	Entries   int    `json:"entries"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-}
-
 // statzJSON is the router's full /statz body.
 type statzJSON struct {
 	UptimeSeconds   float64          `json:"uptime_seconds"`
@@ -81,15 +70,11 @@ type statzJSON struct {
 	Timeouts        uint64           `json:"timeouts"`
 	Canceled        uint64           `json:"canceled"`
 	InFlight        int64            `json:"in_flight"`
-	CacheServed     uint64           `json:"cache_served"`
-	Coalesced       uint64           `json:"coalesced"`
-	StaleServed     uint64           `json:"stale_served"`
 	Partial         uint64           `json:"partial"`
 	StatsMismatches uint64           `json:"stats_mismatches"`
 	Fanout          uint64           `json:"fanout"`
 	ShardErrors     uint64           `json:"shard_errors"`
 	RecoveredPanics uint64           `json:"recovered_panics"`
-	Cache           statzCacheJSON   `json:"cache"`
 	Shards          []statzShardJSON `json:"shards"`
 }
 
@@ -101,7 +86,6 @@ func (rt *Router) handleStatz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m := rt.met
-	hits, misses, evictions := rt.cache.counters()
 	secToMS := func(sec float64) float64 { return sec * 1e3 }
 	snap := statzJSON{
 		UptimeSeconds:   time.Since(m.start).Seconds(),
@@ -112,20 +96,11 @@ func (rt *Router) handleStatz(w http.ResponseWriter, r *http.Request) {
 		Timeouts:        m.timeouts.Load(),
 		Canceled:        m.canceled.Load(),
 		InFlight:        m.inFlight.Load(),
-		CacheServed:     m.cacheServ.Load(),
-		Coalesced:       m.coalesced.Load(),
-		StaleServed:     m.staleServed.Load(),
 		Partial:         m.partial.Load(),
 		StatsMismatches: m.statsMismatch.Load(),
 		Fanout:          m.fanout.Load(),
 		ShardErrors:     m.shardErrors.Load(),
 		RecoveredPanics: m.recoveredPanics.Load(),
-		Cache: statzCacheJSON{
-			Entries:   rt.cache.len(),
-			Hits:      hits,
-			Misses:    misses,
-			Evictions: evictions,
-		},
 	}
 	for _, sh := range rt.shards {
 		lat := sh.lat.Snapshot()
@@ -152,7 +127,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m := rt.met
-	hits, misses, evictions := rt.cache.counters()
 
 	var b bytes.Buffer
 	server.PromCounter(&b, "gqbe_router_requests_total",
@@ -185,23 +159,11 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"Merged answers returned without every shard (degraded rankings served as 200s).", m.partial.Load())
 	server.PromCounter(&b, "gqbe_router_stats_mismatch_total",
 		"Merges where shard stats disagreed on trajectory facts (fleet not running one search).", m.statsMismatch.Load())
-	server.PromCounter(&b, "gqbe_router_stale_served_total",
-		"Degraded fleet-down answers served from retained cache entries.", m.staleServed.Load())
-
-	server.PromCounter(&b, "gqbe_router_cache_hits_total", "Merged-result cache hits.", hits)
-	server.PromCounter(&b, "gqbe_router_cache_misses_total", "Merged-result cache misses.", misses)
-	server.PromCounter(&b, "gqbe_router_cache_evictions_total", "Merged-result cache LRU evictions.", evictions)
-	server.PromCounter(&b, "gqbe_router_cache_served_total",
-		"Query requests answered from the merged-result cache.", m.cacheServ.Load())
-	server.PromCounter(&b, "gqbe_router_coalesced_total",
-		"Query requests answered by joining an identical in-flight fan-out.", m.coalesced.Load())
 	server.PromCounter(&b, "gqbe_router_recovered_panics_total",
 		"Panics recovered into error responses; the router survived each one.", m.recoveredPanics.Load())
 
 	server.PromGauge(&b, "gqbe_router_shards",
 		"Shards the router fans out to.", float64(len(rt.shards)))
-	server.PromGauge(&b, "gqbe_router_cache_entries",
-		"Merged-result cache entries resident.", float64(rt.cache.len()))
 	server.PromGauge(&b, "gqbe_router_in_flight_requests",
 		"Requests currently being handled.", float64(m.inFlight.Load()))
 

@@ -56,19 +56,17 @@ type testFleet struct {
 
 // newFleet boots n shard daemons over eng — each restricted to its answer
 // partition via WithShard(i, n) — and the unsharded baseline over the same
-// engine, then fronts the shards with a router. Every daemon gets `workers`
-// admission worker slots (0 selects the server default). mw, when non-nil, wraps each shard's handler
-// (chaos tests inject faults there). rcfg tunes the router; Shards and a
-// quiet Logger are filled in here.
-func newFleet(t *testing.T, eng *gqbe.Engine, n, workers int, mw func(i int, h http.Handler) http.Handler, rcfg Config) *testFleet {
+// engine, then fronts the shards with a router. Every daemon runs with scfg
+// (admission slots, stale serving), its cache admission floor off and a
+// quiet Logger. mw, when non-nil, wraps each shard's handler (chaos tests
+// inject faults there). rcfg tunes the router; Shards and a quiet Logger are
+// filled in here.
+func newFleet(t *testing.T, eng *gqbe.Engine, n int, scfg server.Config, mw func(i int, h http.Handler) http.Handler, rcfg Config) *testFleet {
 	t.Helper()
-	scfg := server.Config{
-		MaxConcurrent: workers,
-		// Fig. 1-scale answers arrive in microseconds; the default cache
-		// admission floor (1ms) would reject them all.
-		CacheMinLatency: -1,
-		Logger:          quietLogger(),
-	}
+	// Fig. 1-scale answers arrive in microseconds; the default cache
+	// admission floor (1ms) would reject them all.
+	scfg.CacheMinLatency = -1
+	scfg.Logger = quietLogger()
 	f := &testFleet{baseline: server.New(eng, scfg)}
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -185,15 +183,20 @@ func expectOracleMatch(t *testing.T, f *testFleet, body string) {
 	}
 }
 
+// TestOracleFig1 posts every query twice: the repeat is a cache hit on the
+// single node and on every shard, so it pins the merged serving flags too.
 func TestOracleFig1(t *testing.T) {
 	eng := fig1Engine(t)
 	for _, m := range fleetMatrix {
 		m := m
 		t.Run(shardName(m.shards)+"-w"+string(rune('0'+m.workers)), func(t *testing.T) {
-			f := newFleet(t, eng, m.shards, m.workers, nil, Config{})
+			f := newFleet(t, eng, m.shards, server.Config{MaxConcurrent: m.workers}, nil, Config{})
 			for _, q := range fig1Queries {
 				q := q
-				t.Run(q.name, func(t *testing.T) { expectOracleMatch(t, f, q.body) })
+				t.Run(q.name, func(t *testing.T) {
+					expectOracleMatch(t, f, q.body)
+					expectOracleMatch(t, f, q.body)
+				})
 			}
 		})
 	}
@@ -224,7 +227,7 @@ func TestOracleKGSynth(t *testing.T) {
 		for _, m := range []struct{ shards, workers int }{{2, 1}, {4, 8}, {8, 1}} {
 			qid, req, m := qid, req, m
 			t.Run(qid+"-"+shardName(m.shards)+"-w"+string(rune('0'+m.workers)), func(t *testing.T) {
-				f := newFleet(t, eng, m.shards, m.workers, nil, Config{})
+				f := newFleet(t, eng, m.shards, server.Config{MaxConcurrent: m.workers}, nil, Config{})
 				expectOracleMatch(t, f, string(req))
 			})
 		}
@@ -243,7 +246,7 @@ func TestOracleExplain(t *testing.T) {
 	for _, m := range fleetMatrix {
 		m := m
 		t.Run(shardName(m.shards)+"-w"+string(rune('0'+m.workers)), func(t *testing.T) {
-			f := newFleet(t, eng, m.shards, m.workers, nil, Config{})
+			f := newFleet(t, eng, m.shards, server.Config{MaxConcurrent: m.workers}, nil, Config{})
 			bw := post(t, f.baseline, "/v1/query:explain", body)
 			rw := post(t, f.rt, "/v1/query:explain", body)
 			if rw.Code != bw.Code || bw.Code != http.StatusOK {
@@ -304,12 +307,14 @@ func TestOracleExplain(t *testing.T) {
 	}
 }
 
-// TestOracleCacheAndCoalesce pins the router's serving-stack flags: a repeat
-// query is served from the merged-result cache with cached=true and the
-// SAME (timing-zeroed) payload, and no_cache bypasses it.
+// TestOracleCacheAndCoalesce pins the merged serving flags: cached and
+// coalesced are true only when every shard's response says so, since a
+// single shard that searched means the fleet searched. Coalescing is
+// relabeled in middleware (a Fig. 1 search ends before a second request
+// could join it).
 func TestOracleCacheAndCoalesce(t *testing.T) {
 	eng := fig1Engine(t)
-	f := newFleet(t, eng, 4, 0, nil, Config{})
+	f := newFleet(t, eng, 4, server.Config{}, nil, Config{})
 	body := `{"tuple":["Jerry Yang","Yahoo!"],"k":10}`
 
 	first := decodeQueryResp(t, post(t, f.rt, "/v1/query", body))
@@ -318,7 +323,7 @@ func TestOracleCacheAndCoalesce(t *testing.T) {
 	}
 	second := decodeQueryResp(t, post(t, f.rt, "/v1/query", body))
 	if !second.Cached {
-		t.Fatal("repeat query not served from the router cache")
+		t.Fatal("repeat query hit every shard's cache but was not reported cached")
 	}
 	second.Cached = false
 	zeroTimings(&first)
@@ -328,7 +333,33 @@ func TestOracleCacheAndCoalesce(t *testing.T) {
 	}
 	nc := decodeQueryResp(t, post(t, f.rt, "/v1/query", `{"tuple":["Jerry Yang","Yahoo!"],"k":10,"no_cache":true}`))
 	if nc.Cached {
-		t.Fatal("no_cache query served from cache")
+		t.Fatal("no_cache query reported cached")
+	}
+
+	// One shard warm, the others cold: the fleet still searched.
+	const fresh = `{"tuple":["Jerry Yang","Yahoo!"],"k":5}`
+	if resp, err := http.Post(f.shards[0].URL+"/v1/query", "application/json", strings.NewReader(fresh)); err != nil {
+		t.Fatalf("warming shard 0: %v", err)
+	} else {
+		resp.Body.Close()
+	}
+	if res := decodeQueryResp(t, post(t, f.rt, "/v1/query", fresh)); res.Cached {
+		t.Fatal("merge reported cached although three shards searched")
+	}
+
+	coalesced := relabel(func(qr *server.QueryResponse) { qr.Coalesced = true })
+	for _, tc := range []struct {
+		name string
+		mw   func(i int, h http.Handler) http.Handler
+		want bool
+	}{
+		{"every shard coalesced", func(i int, h http.Handler) http.Handler { return coalesced(h) }, true},
+		{"one shard coalesced", onShard(1, coalesced), false},
+	} {
+		cf := newFleet(t, eng, 3, server.Config{}, tc.mw, Config{})
+		if res := decodeQueryResp(t, post(t, cf.rt, "/v1/query", body)); res.Coalesced != tc.want {
+			t.Errorf("%s: merged coalesced = %v, want %v", tc.name, res.Coalesced, tc.want)
+		}
 	}
 }
 
@@ -348,7 +379,7 @@ func TestRequestIDPropagation(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	}
-	f := newFleet(t, eng, 3, 0, record, Config{})
+	f := newFleet(t, eng, 3, server.Config{}, record, Config{})
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(`{"tuple":["Jerry Yang","Yahoo!"],"k":3,"no_cache":true}`))
 	req.Header.Set("Content-Type", "application/json")

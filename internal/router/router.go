@@ -15,12 +15,12 @@
 // a 500. If at least one shard answers, the merged ranking is returned as a
 // 200 with "partial": true and the missing shards named in "missing_shards" —
 // a degraded ranking is an answer, not an error. Only when every shard fails
-// does the router fall back to its stale cache (Config.StaleServe) or return
-// an error classified from the shard failures.
+// does the router return an error classified from the shard failures.
 //
-// The router carries its own sharded LRU result cache and singleflight group
-// (clones of the daemon's, typed to merged responses), so repeated and
-// concurrent identical queries cost one fan-out, not N.
+// The router keeps no cache of its own: each shard daemon caches, coalesces
+// and (with gqbed -stale-serve) stale-serves its part of the answer, and the
+// merge carries those labels through — cached and coalesced when every shard
+// says so, stale when any shard does, with the oldest shard answer's Age.
 package router
 
 import (
@@ -63,21 +63,6 @@ type Config struct {
 	// MaxQueueWait mirrors the shards' admission queue bound (default 1s);
 	// the per-shard call budget is queue wait + query deadline + slack.
 	MaxQueueWait time.Duration
-	// CacheEntries is the merged-result cache capacity in entries (default
-	// 1024); negative disables caching.
-	CacheEntries int
-	// CacheShards is the number of independently locked cache shards
-	// (default 16).
-	CacheShards int
-	// StaleServe opts in to degraded serving at the fleet level: when every
-	// shard fails and the router's cache retains a merged result for the key
-	// (fresh or past its soft TTL), that result is served with "stale": true
-	// and an Age header instead of the error. Off by default.
-	StaleServe bool
-	// StaleTTL is the cache's freshness horizon: entries older than this stop
-	// satisfying normal lookups but remain eligible for stale serving.
-	// 0 selects 1 minute; negative means entries never go stale.
-	StaleTTL time.Duration
 	// Retries is how many times one shard call is retried after a transport
 	// error (connection refused, reset) within its budget. HTTP error
 	// statuses are never retried — the shard spoke, the answer is its
@@ -100,15 +85,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxQueueWait <= 0 {
 		c.MaxQueueWait = time.Second
-	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 1024
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 16
-	}
-	if c.StaleTTL == 0 {
-		c.StaleTTL = time.Minute
 	}
 	switch {
 	case c.Retries == 0:
@@ -155,12 +131,10 @@ func shardName(i int) string { return fmt.Sprintf("shard-%d", i) }
 // endpoint surface as a gqbed daemon; all state it mutates is safe for
 // concurrent use.
 type Router struct {
-	cfg     Config
-	shards  []*shardConn
-	cache   *respCache
-	flights *flightGroup
-	met     *routerMetrics
-	mux     *http.ServeMux
+	cfg    Config
+	shards []*shardConn
+	met    *routerMetrics
+	mux    *http.ServeMux
 
 	reqSeq atomic.Uint64
 	idBase string
@@ -173,12 +147,10 @@ func New(cfg Config) (*Router, error) {
 	}
 	cfg.fill()
 	rt := &Router{
-		cfg:     cfg,
-		cache:   newRespCache(cfg.CacheEntries, cfg.CacheShards, cfg.StaleTTL),
-		flights: newFlightGroup(),
-		met:     newRouterMetrics(),
-		mux:     http.NewServeMux(),
-		idBase:  fmt.Sprintf("r%08x", uint32(time.Now().UnixNano())),
+		cfg:    cfg,
+		met:    newRouterMetrics(),
+		mux:    http.NewServeMux(),
+		idBase: fmt.Sprintf("r%08x", uint32(time.Now().UnixNano())),
 	}
 	for i, raw := range cfg.Shards {
 		u, err := url.Parse(raw)
@@ -232,11 +204,13 @@ func (rt *Router) effectiveTimeout(timeoutMillis int) time.Duration {
 }
 
 // shardResult is one shard's reply to a fanned-out call: either a decoded
-// HTTP exchange (status + body) or a transport error.
+// HTTP exchange (status, body and the Age header a stale answer carries) or
+// a transport error.
 type shardResult struct {
 	index   int
 	status  int
 	body    []byte
+	age     string
 	elapsed time.Duration
 	err     error
 }
@@ -307,7 +281,8 @@ func (rt *Router) callShard(ctx context.Context, sh *shardConn, path string, bod
 				elapsed := time.Since(start)
 				sh.lat.Observe(elapsed)
 				rt.met.shardLat.Observe(elapsed)
-				res := shardResult{index: sh.index, status: resp.StatusCode, body: b, elapsed: elapsed}
+				res := shardResult{index: sh.index, status: resp.StatusCode, body: b,
+					age: resp.Header.Get("Age"), elapsed: elapsed}
 				if res.failed() {
 					sh.errors.Add(1)
 					rt.met.shardErrors.Add(1)
@@ -332,12 +307,7 @@ type queryOutcome struct {
 	status  int
 	resp    *server.QueryResponse // set when status == 200
 	errBody *server.ErrorBody     // set otherwise
-
-	// How the outcome was obtained, for flags and accounting.
-	cached    bool
-	coalesced bool
-	stale     bool
-	staleAge  time.Duration
+	age     int                   // Age header of a stale merge: its oldest shard answer's, in seconds
 }
 
 func errOutcome(status int, code, message string) *queryOutcome {
@@ -346,9 +316,7 @@ func errOutcome(status int, code, message string) *queryOutcome {
 	}}
 }
 
-// canceledOutcome reports a leader outcome caused by that leader's own client
-// going away — a property of its request, not of the query, so followers
-// re-scatter instead of inheriting it.
+// canceledClass reports an outcome caused by the client going away.
 func (o *queryOutcome) canceledClass() bool {
 	return o.status != http.StatusOK && o.errBody != nil && o.errBody.Error.Code == "canceled"
 }
@@ -381,87 +349,36 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rt.met.errored.Add(1)
 		return
 	}
-	tuples, opts, err := req.Normalize()
+	_, opts, err := req.Normalize()
 	if err != nil {
 		rt.met.errored.Add(1)
 		server.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	key := server.CacheKey(tuples, opts)
 	timeout := rt.effectiveTimeout(req.TimeoutMillis)
-	out := rt.answer(r.Context(), key, &req, opts.K, timeout, reqID)
-	rt.writeOutcome(w, out)
+	rt.writeOutcome(w, rt.scatter(r.Context(), &req, opts.K, timeout, reqID))
 }
 
-// answer serves one normalized query through the router's serving stack:
-// merged-result cache, then singleflight coalescing, then scatter-gather.
-func (rt *Router) answer(ctx context.Context, key string, req *server.QueryRequest, k int, timeout time.Duration, reqID string) *queryOutcome {
-	if req.NoCache {
-		// no_cache measures the live path end to end: no router cache, no
-		// coalescing (and the flag is forwarded, so shards bypass theirs too).
-		return rt.scatter(ctx, key, req, k, timeout, reqID)
-	}
-	if resp, ok := rt.cache.get(key); ok {
-		c := *resp
-		c.Cached = true
-		return &queryOutcome{status: http.StatusOK, resp: &c, cached: true}
-	}
-	f, leader := rt.flights.join(key)
-	if !leader {
-		select {
-		case <-f.done:
-			out := f.out
-			if out.status == http.StatusOK && !out.stale {
-				c := *out.resp
-				c.Coalesced = true
-				return &queryOutcome{status: http.StatusOK, resp: &c, coalesced: true}
-			}
-			if out.canceledClass() {
-				// The leader's client went away; that says nothing about the
-				// query. Run our own scatter under our own context.
-				return rt.scatter(ctx, key, req, k, timeout, reqID)
-			}
-			return out
-		case <-ctx.Done():
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				return errOutcome(http.StatusGatewayTimeout, "timeout", "request deadline exceeded while coalesced")
-			}
-			return errOutcome(http.StatusServiceUnavailable, "canceled", "client canceled the request")
-		}
-	}
-	// Leader: scatter, publish to followers even if the merge path panics
-	// (the outcome becomes an internal error and the panic continues to the
-	// handler's recover — followers must never hang on a dead leader).
-	finished := false
-	defer func() {
-		if !finished {
-			rt.flights.finish(key, f, errOutcome(http.StatusInternalServerError, "internal", "internal router error"))
-		}
-	}()
-	out := rt.scatter(ctx, key, req, k, timeout, reqID)
-	finished = true
-	rt.flights.finish(key, f, out)
-	return out
-}
-
-// scatter fans the query to every shard and merges the results.
-func (rt *Router) scatter(ctx context.Context, key string, req *server.QueryRequest, k int, timeout time.Duration, reqID string) *queryOutcome {
+// scatter fans the query to every shard and merges the results. no_cache
+// rides along in the re-encoded body, so the shards bypass their caches.
+func (rt *Router) scatter(ctx context.Context, req *server.QueryRequest, k int, timeout time.Duration, reqID string) *queryOutcome {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return errOutcome(http.StatusInternalServerError, "internal", "re-encoding request: "+err.Error())
 	}
 	budget := rt.cfg.MaxQueueWait + timeout + shardBudgetSlack
 	results := rt.fanout(ctx, "/v1/query", body, reqID, budget)
-	return rt.mergeQuery(ctx, results, k, key, req.NoCache)
+	return rt.mergeQuery(ctx, results, k)
 }
 
 // mergeQuery classifies the per-shard results and builds the router-level
-// outcome: a full merge (cached), a partial merge (200 + partial), a
-// deterministic query error forwarded verbatim, or an all-shards-failed
-// classification.
-func (rt *Router) mergeQuery(ctx context.Context, results []shardResult, k int, key string, noCache bool) *queryOutcome {
+// outcome: a full merge, a partial merge (200 + partial), a deterministic
+// query error forwarded verbatim, or an all-shards-failed classification.
+// The merged response's Age is the largest a merged shard sent.
+func (rt *Router) mergeQuery(ctx context.Context, results []shardResult, k int) *queryOutcome {
 	var oks []*server.QueryResponse
 	var failed []shardResult
+	age := 0
 	for _, sr := range results {
 		if sr.err == nil && sr.status == http.StatusOK {
 			var qr server.QueryResponse
@@ -470,6 +387,9 @@ func (rt *Router) mergeQuery(ctx context.Context, results []shardResult, k int, 
 				continue
 			}
 			oks = append(oks, &qr)
+			if a, err := strconv.Atoi(sr.age); err == nil {
+				age = max(age, a)
+			}
 			continue
 		}
 		if sr.deterministic() {
@@ -483,7 +403,7 @@ func (rt *Router) mergeQuery(ctx context.Context, results []shardResult, k int, 
 		failed = append(failed, sr)
 	}
 	if len(oks) == 0 {
-		return rt.allShardsFailed(ctx, failed, key, noCache)
+		return rt.allShardsFailed(ctx, failed)
 	}
 	resp := rt.mergeResponses(oks, k)
 	if len(failed) > 0 {
@@ -492,23 +412,17 @@ func (rt *Router) mergeQuery(ctx context.Context, results []shardResult, k int, 
 			resp.Missing = append(resp.Missing, shardName(f.index))
 		}
 		rt.met.partial.Add(1)
-		// A partial merge is never cached: answers owned by the missing
-		// shards are absent, and a later full query must not inherit that.
-		return &queryOutcome{status: http.StatusOK, resp: resp}
 	}
-	if !noCache {
-		rt.cache.put(key, resp)
-	}
-	return &queryOutcome{status: http.StatusOK, resp: resp}
+	return &queryOutcome{status: http.StatusOK, resp: resp, age: age}
 }
 
 // mergeResponses merges per-shard 200s into the single-node response: answers
 // concatenated, re-sorted under the engine's total order (score desc, tie
 // asc), and cut at k; stats from the lowest-index responding shard with
-// timings maxed across shards (wall-clock is the slowest shard's); browned-out
-// OR'd (any shard under brownout means the merged ranking may be clamped).
-// Shard-level serving flags (cached/coalesced/stale) are dropped — the merged
-// response carries the ROUTER's serving flags, set by the caller.
+// timings maxed across shards (wall-clock is the slowest shard's). Browned-out
+// and stale are OR'd: any shard under brownout means the merged ranking may
+// be clamped, and any shard's stale answer makes the merge stale. Cached and
+// coalesced are AND'd: the merge did no search only if no shard did one.
 func (rt *Router) mergeResponses(oks []*server.QueryResponse, k int) *server.QueryResponse {
 	base := oks[0]
 	total := 0
@@ -516,12 +430,17 @@ func (rt *Router) mergeResponses(oks []*server.QueryResponse, k int) *server.Que
 		total += len(qr.Answers)
 	}
 	merged := &server.QueryResponse{
-		Answers: make([]server.AnswerJSON, 0, total),
-		Stats:   base.Stats,
+		Answers:   make([]server.AnswerJSON, 0, total),
+		Stats:     base.Stats,
+		Cached:    true,
+		Coalesced: true,
 	}
 	for _, qr := range oks {
 		merged.Answers = append(merged.Answers, qr.Answers...)
 		merged.BrownedOut = merged.BrownedOut || qr.BrownedOut
+		merged.Stale = merged.Stale || qr.Stale
+		merged.Cached = merged.Cached && qr.Cached
+		merged.Coalesced = merged.Coalesced && qr.Coalesced
 		if qr == base {
 			continue
 		}
@@ -561,21 +480,12 @@ func sortAnswers(answers []server.AnswerJSON) {
 	})
 }
 
-// allShardsFailed classifies a query no shard answered: stale-serve if the
-// operator opted in and the cache retains the key, otherwise an error derived
+// allShardsFailed classifies a query no shard answered into an error derived
 // deterministically from the failures (all-shed → 429; else the lowest-index
 // shard's failure class).
-func (rt *Router) allShardsFailed(ctx context.Context, failed []shardResult, key string, noCache bool) *queryOutcome {
+func (rt *Router) allShardsFailed(ctx context.Context, failed []shardResult) *queryOutcome {
 	if errors.Is(ctx.Err(), context.Canceled) {
 		return errOutcome(http.StatusServiceUnavailable, "canceled", "client canceled the request")
-	}
-	if rt.cfg.StaleServe && !noCache {
-		if resp, age, ok := rt.cache.getStale(key); ok {
-			c := *resp
-			c.Stale = true
-			rt.met.staleServed.Add(1)
-			return &queryOutcome{status: http.StatusOK, resp: &c, stale: true, staleAge: age}
-		}
 	}
 	all429 := len(failed) > 0
 	for _, f := range failed {
@@ -607,14 +517,8 @@ func (rt *Router) allShardsFailed(ctx context.Context, failed []shardResult, key
 func (rt *Router) writeOutcome(w http.ResponseWriter, out *queryOutcome) {
 	if out.status == http.StatusOK {
 		rt.met.served.Add(1)
-		if out.cached {
-			rt.met.cacheServ.Add(1)
-		}
-		if out.coalesced {
-			rt.met.coalesced.Add(1)
-		}
-		if out.stale {
-			w.Header().Set("Age", strconv.Itoa(int(out.staleAge/time.Second)))
+		if out.resp.Stale {
+			w.Header().Set("Age", strconv.Itoa(out.age))
 		}
 		server.WriteJSON(w, http.StatusOK, out.resp)
 		return
@@ -670,13 +574,4 @@ func (rt *Router) handleEntity(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	server.WriteError(w, http.StatusServiceUnavailable, "shard_unavailable", "no shard reachable")
-}
-
-// max is a float64 helper (the builtin arrives in newer Go releases; this
-// keeps the package buildable on the toolchain floor).
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

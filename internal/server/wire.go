@@ -46,9 +46,9 @@ const MaxBodyBytes = maxBodyBytes
 // Normalize validates the request and resolves every option default,
 // returning the tuples and engine options a server would run it with. This
 // is the exported face of the per-request normalization /v1/query goes
-// through; the router uses it to validate before fan-out
-// (rejecting bad requests without burning a round trip) and to derive cache
-// keys that agree with shard-side semantics.
+// through; the router uses it to validate before fan-out (rejecting bad
+// requests without burning a round trip) and to read the resolved k its
+// merge cuts at.
 func (q *queryRequest) Normalize() ([][]string, gqbe.Options, error) {
 	return q.normalize()
 }
