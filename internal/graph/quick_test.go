@@ -33,7 +33,7 @@ func TestQuickComponentsPartitionEdges(t *testing.T) {
 		seen := make(map[Edge]bool)
 		for _, c := range comps {
 			total += c.NumEdges()
-			if !c.IsWeaklyConnected(nil) {
+			if !weaklyConnected(c) {
 				return false
 			}
 			for _, e := range c.Edges {
@@ -50,47 +50,18 @@ func TestQuickComponentsPartitionEdges(t *testing.T) {
 	}
 }
 
-// Property: ComponentContaining of any node present in the graph returns a
-// component whose edges are a subset of the graph's and which contains the
-// node.
-func TestQuickComponentContainingIsComponent(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		s := randomSubGraph(r, 10, 15)
-		v := s.Edges[r.Intn(len(s.Edges))].Src
-		comp := s.ComponentContaining([]NodeID{v})
-		if comp == nil {
-			return false
-		}
-		if !comp.HasNode(v) {
-			return false
-		}
-		all := make(map[Edge]bool, len(s.Edges))
-		for _, e := range s.Edges {
-			all[e] = true
-		}
-		for _, e := range comp.Edges {
-			if !all[e] {
-				return false
-			}
-		}
-		return comp.IsWeaklyConnected(nil)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: undirected BFS distances within a subgraph satisfy the triangle
-// property across any edge — distances of the two endpoints differ by at
-// most 1 when both are reached.
+// Property: undirected BFS distances satisfy the triangle property across
+// any edge — distances of the two endpoints differ by at most 1 when both
+// are reached.
 func TestQuickBFSDistancesEdgeConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := randomSubGraph(r, 10, 18)
-		seed1 := s.Edges[0].Src
-		dist := s.UndirectedDistances([]NodeID{seed1})
-		for _, e := range s.Edges {
+		g, edges := randomGraph(r, 10, 18)
+		if len(edges) == 0 {
+			return true
+		}
+		dist := g.UndirectedDistances([]NodeID{edges[0].Src}, 1<<30)
+		for _, e := range edges {
 			du, okU := dist[e.Src]
 			dv, okV := dist[e.Dst]
 			if okU != okV {
@@ -110,21 +81,36 @@ func TestQuickBFSDistancesEdgeConsistent(t *testing.T) {
 	}
 }
 
-// Property: union-find connectivity agrees with SubGraph component
-// connectivity for every pair of endpoint nodes.
+// Property: union-find connectivity over a subgraph's nodes, numbered by
+// their rank in Nodes(), agrees with SubGraph component membership for
+// every pair of endpoint nodes.
 func TestQuickUnionFindMatchesComponents(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s := randomSubGraph(r, 10, 16)
-		u := NewUnionFind()
-		for _, e := range s.Edges {
-			u.AddEdge(e)
-		}
 		nodes := s.Nodes()
-		for i := 0; i < len(nodes); i++ {
+		local := make(map[NodeID]int32, len(nodes))
+		for i, v := range nodes {
+			local[v] = int32(i)
+		}
+		u := NewUnionFind(len(nodes))
+		for _, e := range s.Edges {
+			u.AddEdge(local[e.Src], local[e.Dst])
+		}
+		comp := make(map[NodeID]int)
+		for ci, c := range s.Components() {
+			for _, e := range c.Edges {
+				comp[e.Src], comp[e.Dst] = ci, ci
+			}
+			// Each set counts the edges of its component.
+			if u.EdgeCount(local[c.Edges[0].Src]) != c.NumEdges() {
+				return false
+			}
+		}
+		for i := range nodes {
 			for j := i + 1; j < len(nodes); j++ {
-				want := s.ComponentContaining([]NodeID{nodes[i], nodes[j]}) != nil
-				if u.SameSet(nodes[i], nodes[j]) != want {
+				want := comp[nodes[i]] == comp[nodes[j]]
+				if (u.Find(int32(i)) == u.Find(int32(j))) != want {
 					return false
 				}
 			}
@@ -136,35 +122,33 @@ func TestQuickUnionFindMatchesComponents(t *testing.T) {
 	}
 }
 
-// Property: the big-graph undirected BFS agrees with the subgraph BFS when
-// the subgraph is the whole graph.
+// Property: the big-graph undirected BFS — map-based and flat — agrees
+// with a BFS over the subgraph's adjacency when the subgraph is the whole
+// graph, and the flat table numbers the reached nodes by visit position.
 func TestQuickGraphVsSubgraphBFS(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		g := New()
-		n := 3 + r.Intn(8)
-		m := 2 + r.Intn(14)
-		var edges []Edge
-		for i := 0; i < m; i++ {
-			src := NodeID(r.Intn(n))
-			dst := NodeID(r.Intn(n))
-			for int(src) >= g.NumNodes() || int(dst) >= g.NumNodes() {
-				g.AddNode(string(rune('a' + g.NumNodes())))
-			}
-			l := g.AddLabel("l")
-			if g.AddEdgeIDs(src, l, dst) {
-				edges = append(edges, Edge{Src: src, Label: l, Dst: dst})
-			}
-		}
+		g, edges := randomGraph(r, 10, 16)
 		if len(edges) == 0 {
 			return true
 		}
 		s := NewSubGraph(edges)
 		seed1 := edges[0].Src
 		dg := g.UndirectedDistances([]NodeID{seed1}, 1<<30)
-		ds := s.UndirectedDistances([]NodeID{seed1})
+		ds := subGraphDistances(s, seed1)
+		dm := NewDistMap(g.NumNodes())
+		g.UndirectedDistancesInto(dm, []NodeID{seed1}, 1<<30)
+		if len(dg) != len(ds) || len(dm.Reached()) != len(ds) {
+			return false
+		}
 		for v, d := range ds {
-			if dg[v] != d {
+			got, ok := dm.Get(v)
+			if dg[v] != d || !ok || got != d {
+				return false
+			}
+		}
+		for i, v := range dm.Reached() {
+			if j, ok := dm.Index(v); !ok || j != i || int(dm.Dists()[i]) != ds[v] {
 				return false
 			}
 		}
@@ -173,4 +157,55 @@ func TestQuickGraphVsSubgraphBFS(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// randomGraph builds a small random data graph with up to maxNodes nodes
+// and maxEdges edge attempts over two labels, returning the edges added.
+func randomGraph(r *rand.Rand, maxNodes, maxEdges int) (*Graph, []Edge) {
+	g := New()
+	n := 3 + r.Intn(maxNodes-2)
+	m := 2 + r.Intn(maxEdges-1)
+	for i := 0; i < n; i++ {
+		g.AddNode(string(rune('a' + i)))
+	}
+	labels := [2]LabelID{g.AddLabel("l"), g.AddLabel("m")}
+	var edges []Edge
+	for i := 0; i < m; i++ {
+		e := Edge{Src: NodeID(r.Intn(n)), Label: labels[r.Intn(2)], Dst: NodeID(r.Intn(n))}
+		if g.AddEdgeIDs(e.Src, e.Label, e.Dst) {
+			edges = append(edges, e)
+		}
+	}
+	return g, edges
+}
+
+// subGraphDistances is a BFS over s's adjacency from seed.
+func subGraphDistances(s *SubGraph, seed NodeID) map[NodeID]int {
+	adj := s.Adjacency()
+	dist := map[NodeID]int{seed: 0}
+	queue := []NodeID{seed}
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		for _, ei := range adj[v] {
+			for _, u := range [2]NodeID{s.Edges[ei].Src, s.Edges[ei].Dst} {
+				if _, ok := dist[u]; !ok {
+					dist[u] = dist[v] + 1
+					queue = append(queue, u)
+				}
+			}
+		}
+	}
+	return dist
+}
+
+// weaklyConnected reports whether every endpoint of s is reachable from
+// its first edge.
+func weaklyConnected(s *SubGraph) bool {
+	dist := subGraphDistances(s, s.Edges[0].Src)
+	for _, e := range s.Edges {
+		if _, ok := dist[e.Dst]; !ok {
+			return false
+		}
+	}
+	return true
 }

@@ -90,80 +90,6 @@ func (s *SubGraph) Adjacency() map[NodeID][]int {
 	return adj
 }
 
-// IsWeaklyConnected reports whether the subgraph is weakly connected and, if
-// required is non-empty, whether it contains every node in required. An
-// empty subgraph is not weakly connected.
-func (s *SubGraph) IsWeaklyConnected(required []NodeID) bool {
-	if len(s.Edges) == 0 {
-		return false
-	}
-	if !s.ContainsAll(required) {
-		return false
-	}
-	adj := s.Adjacency()
-	start := s.Edges[0].Src
-	seen := map[NodeID]bool{start: true}
-	stack := []NodeID{start}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ei := range adj[v] {
-			for _, u := range [2]NodeID{s.Edges[ei].Src, s.Edges[ei].Dst} {
-				if !seen[u] {
-					seen[u] = true
-					stack = append(stack, u)
-				}
-			}
-		}
-	}
-	return len(seen) == len(adj)
-}
-
-// ComponentContaining returns the weakly connected component of the subgraph
-// that contains all of the given nodes, or nil if no single component does.
-// Node-only members (none here: components are edge-induced) are ignored;
-// a required node with no incident edge yields nil.
-func (s *SubGraph) ComponentContaining(required []NodeID) *SubGraph {
-	if len(required) == 0 || len(s.Edges) == 0 {
-		return nil
-	}
-	adj := s.Adjacency()
-	if _, ok := adj[required[0]]; !ok {
-		return nil
-	}
-	seen := map[NodeID]bool{required[0]: true}
-	stack := []NodeID{required[0]}
-	var edgeIdx []int
-	edgeSeen := make(map[int]bool)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ei := range adj[v] {
-			if !edgeSeen[ei] {
-				edgeSeen[ei] = true
-				edgeIdx = append(edgeIdx, ei)
-			}
-			for _, u := range [2]NodeID{s.Edges[ei].Src, s.Edges[ei].Dst} {
-				if !seen[u] {
-					seen[u] = true
-					stack = append(stack, u)
-				}
-			}
-		}
-	}
-	for _, v := range required[1:] {
-		if !seen[v] {
-			return nil
-		}
-	}
-	sort.Ints(edgeIdx)
-	edges := make([]Edge, len(edgeIdx))
-	for i, ei := range edgeIdx {
-		edges[i] = s.Edges[ei]
-	}
-	return &SubGraph{Edges: edges}
-}
-
 // Components returns the weakly connected components of the subgraph, each as
 // a SubGraph. Order is deterministic (by smallest contained edge index).
 func (s *SubGraph) Components() []*SubGraph {
@@ -201,42 +127,6 @@ func (s *SubGraph) Components() []*SubGraph {
 		comps = append(comps, &SubGraph{Edges: edges})
 	}
 	return comps
-}
-
-// UndirectedDistances runs BFS within the subgraph from the seed nodes,
-// treating edges as undirected, and returns hop distances for every reached
-// node. Seeds not present in the subgraph are still reported at distance 0.
-func (s *SubGraph) UndirectedDistances(seeds []NodeID) map[NodeID]int {
-	adj := s.Adjacency()
-	dist := make(map[NodeID]int, len(adj))
-	var queue []NodeID
-	for _, v := range seeds {
-		if _, ok := dist[v]; !ok {
-			dist[v] = 0
-			queue = append(queue, v)
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, ei := range adj[v] {
-			e := s.Edges[ei]
-			for _, u := range [2]NodeID{e.Src, e.Dst} {
-				if _, ok := dist[u]; !ok {
-					dist[u] = dist[v] + 1
-					queue = append(queue, u)
-				}
-			}
-		}
-	}
-	return dist
-}
-
-// WithoutEdge returns a copy of the subgraph with the edge at index i removed.
-func (s *SubGraph) WithoutEdge(i int) *SubGraph {
-	edges := make([]Edge, 0, len(s.Edges)-1)
-	edges = append(edges, s.Edges[:i]...)
-	edges = append(edges, s.Edges[i+1:]...)
-	return &SubGraph{Edges: edges}
 }
 
 // Clone returns a deep copy.

@@ -48,46 +48,6 @@ func TestSubGraphHasNodeAndContainsAll(t *testing.T) {
 	}
 }
 
-func TestIsWeaklyConnected(t *testing.T) {
-	conn := NewSubGraph([]Edge{edge(1, 0, 2), edge(3, 0, 2)}) // 1->2<-3 weakly connected
-	if !conn.IsWeaklyConnected(nil) {
-		t.Error("weakly connected graph reported disconnected")
-	}
-	disc := NewSubGraph([]Edge{edge(1, 0, 2), edge(3, 0, 4)})
-	if disc.IsWeaklyConnected(nil) {
-		t.Error("disconnected graph reported connected")
-	}
-	if (&SubGraph{}).IsWeaklyConnected(nil) {
-		t.Error("empty graph reported connected")
-	}
-	if conn.IsWeaklyConnected([]NodeID{9}) {
-		t.Error("required node missing but reported connected")
-	}
-}
-
-func TestComponentContaining(t *testing.T) {
-	s := NewSubGraph([]Edge{edge(1, 0, 2), edge(2, 0, 3), edge(8, 0, 9)})
-	comp := s.ComponentContaining([]NodeID{1, 3})
-	if comp == nil {
-		t.Fatal("component containing 1,3 not found")
-	}
-	if comp.NumEdges() != 2 {
-		t.Errorf("component has %d edges, want 2", comp.NumEdges())
-	}
-	if comp.HasNode(8) {
-		t.Error("component leaked node from another component")
-	}
-	if s.ComponentContaining([]NodeID{1, 9}) != nil {
-		t.Error("nodes in different components should yield nil")
-	}
-	if s.ComponentContaining([]NodeID{42}) != nil {
-		t.Error("absent node should yield nil")
-	}
-	if s.ComponentContaining(nil) != nil {
-		t.Error("empty requirement should yield nil")
-	}
-}
-
 func TestComponents(t *testing.T) {
 	s := NewSubGraph([]Edge{edge(1, 0, 2), edge(2, 0, 3), edge(8, 0, 9), edge(9, 1, 10)})
 	comps := s.Components()
@@ -96,32 +56,6 @@ func TestComponents(t *testing.T) {
 	}
 	if comps[0].NumEdges() != 2 || comps[1].NumEdges() != 2 {
 		t.Errorf("component sizes %d,%d; want 2,2", comps[0].NumEdges(), comps[1].NumEdges())
-	}
-}
-
-func TestSubGraphUndirectedDistances(t *testing.T) {
-	// 1 -> 2 -> 3 -> 4 plus shortcut 1 -> 3
-	s := NewSubGraph([]Edge{edge(1, 0, 2), edge(2, 0, 3), edge(3, 0, 4), edge(1, 1, 3)})
-	dist := s.UndirectedDistances([]NodeID{1})
-	want := map[NodeID]int{1: 0, 2: 1, 3: 1, 4: 2}
-	for v, wd := range want {
-		if dist[v] != wd {
-			t.Errorf("dist[%d] = %d, want %d", v, dist[v], wd)
-		}
-	}
-}
-
-func TestWithoutEdge(t *testing.T) {
-	s := NewSubGraph([]Edge{edge(1, 0, 2), edge(2, 0, 3), edge(3, 0, 4)})
-	r := s.WithoutEdge(1)
-	if r.NumEdges() != 2 {
-		t.Fatalf("NumEdges = %d, want 2", r.NumEdges())
-	}
-	if r.Edges[0] != edge(1, 0, 2) || r.Edges[1] != edge(3, 0, 4) {
-		t.Errorf("wrong edges after removal: %v", r.Edges)
-	}
-	if s.NumEdges() != 3 {
-		t.Error("WithoutEdge mutated the receiver")
 	}
 }
 
@@ -154,41 +88,52 @@ func TestSubGraphFormat(t *testing.T) {
 }
 
 func TestUnionFindBasics(t *testing.T) {
-	u := NewUnionFind()
-	if !u.SameSet(1, 1) {
-		t.Error("node not in same set as itself")
+	u := NewUnionFind(5)
+	if u.Find(1) != u.Find(1) {
+		t.Error("id not in the same set as itself")
 	}
-	if u.SameSet(1, 2) {
-		t.Error("fresh nodes should be in different sets")
+	if u.Find(1) == u.Find(2) {
+		t.Error("fresh ids should be in different sets")
 	}
 	u.Union(1, 2)
 	u.Union(3, 4)
-	if !u.SameSet(1, 2) || u.SameSet(2, 3) {
+	if u.Find(1) != u.Find(2) || u.Find(2) == u.Find(3) {
 		t.Error("union results wrong")
 	}
 	u.Union(2, 3)
-	if !u.AllSameSet([]NodeID{1, 2, 3, 4}) {
-		t.Error("all four nodes should be united")
+	if !u.AllSameSet([]int32{1, 2, 3, 4}) {
+		t.Error("all four ids should be united")
+	}
+	if u.AllSameSet([]int32{0, 1}) {
+		t.Error("id 0 was never united")
 	}
 	if !u.AllSameSet(nil) {
 		t.Error("AllSameSet(nil) should be vacuously true")
 	}
+	u.Reset(3)
+	if u.Find(1) == u.Find(2) || u.EdgeCount(1) != 0 {
+		t.Error("Reset left a union behind")
+	}
 }
 
 func TestUnionFindEdgeCount(t *testing.T) {
-	u := NewUnionFind()
-	u.AddEdge(edge(1, 0, 2))
-	u.AddEdge(edge(2, 0, 3))
+	u := NewUnionFind(10)
+	u.AddEdge(1, 2)
+	u.AddEdge(2, 3)
 	if got := u.EdgeCount(3); got != 2 {
 		t.Errorf("EdgeCount = %d, want 2", got)
 	}
-	u.AddEdge(edge(8, 0, 9))
+	u.AddEdge(8, 9)
 	if got := u.EdgeCount(8); got != 1 {
-		t.Errorf("EdgeCount(other comp) = %d, want 1", got)
+		t.Errorf("EdgeCount(other set) = %d, want 1", got)
 	}
-	// Merging two components must merge edge counts.
-	u.AddEdge(edge(3, 0, 8))
+	// Merging two sets must merge edge counts; a self-loop counts once.
+	u.AddEdge(3, 8)
+	u.AddEdge(5, 5)
 	if got := u.EdgeCount(1); got != 4 {
 		t.Errorf("EdgeCount after merge = %d, want 4", got)
+	}
+	if got := u.EdgeCount(5); got != 1 {
+		t.Errorf("EdgeCount(self-loop) = %d, want 1", got)
 	}
 }

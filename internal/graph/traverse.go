@@ -5,24 +5,28 @@ package graph
 // reachability checks.
 //
 // The BFS state lives in a DistMap — flat arrays indexed by dense NodeID
-// with an epoch stamp — instead of a Go map: distance reads become one
-// array load, and clearing between passes is O(1), so one allocation serves
-// every BFS a query runs.
+// with an epoch stamp — instead of a Go map: lookups become array loads,
+// and clearing between passes is O(1), so one allocation serves every BFS
+// a query runs. The table also numbers the reached nodes by visit
+// position, the local ids the neighborhood reduction runs on.
 
-// DistMap is a flat BFS distance table over dense node IDs. An entry is
-// live only when its stamp matches the current epoch, so Reset invalidates
-// the whole table in O(1) without touching memory.
+// DistMap is a flat BFS distance table over dense node IDs. It also numbers
+// the reached nodes by their visit position, so a caller can work on the
+// reached set with dense local ids in [0, len(Reached())). An entry is live
+// only when its stamp matches the current epoch, so Reset invalidates the
+// whole table in O(1) without touching memory.
 type DistMap struct {
-	dist  []int32
+	pos   []int32 // per node: its position in order
 	stamp []uint32
 	epoch uint32
 	order []NodeID // reached nodes in visit (BFS) order
+	dist  []int32  // per position: the distance of order[i]
 }
 
 // NewDistMap returns a table covering node IDs [0, numNodes).
 func NewDistMap(numNodes int) *DistMap {
 	return &DistMap{
-		dist:  make([]int32, numNodes),
+		pos:   make([]int32, numNodes),
 		stamp: make([]uint32, numNodes),
 		epoch: 1,
 	}
@@ -34,6 +38,7 @@ func NewDistMap(numNodes int) *DistMap {
 func (d *DistMap) Reset() {
 	d.epoch++
 	d.order = d.order[:0]
+	d.dist = d.dist[:0]
 	if d.epoch == 0 {
 		// The 32-bit epoch wrapped (4 billion resets): the stale stamps are
 		// indistinguishable from live ones, so clear them once.
@@ -49,31 +54,49 @@ func (d *DistMap) Reset() {
 //
 //gqbe:hotpath
 func (d *DistMap) Add(v NodeID, dv int) bool {
-	if v < 0 || int(v) >= len(d.dist) || d.stamp[v] == d.epoch {
+	if v < 0 || int(v) >= len(d.pos) || d.stamp[v] == d.epoch {
 		return false
 	}
 	d.stamp[v] = d.epoch
-	d.dist[v] = int32(dv)
+	d.pos[v] = int32(len(d.order))
 	d.order = append(d.order, v)
+	d.dist = append(d.dist, int32(dv))
 	return true
+}
+
+// Index returns v's visit position — its local id — and whether v was
+// reached this epoch.
+//
+//gqbe:hotpath
+func (d *DistMap) Index(v NodeID) (int, bool) {
+	if v < 0 || int(v) >= len(d.pos) || d.stamp[v] != d.epoch {
+		return 0, false
+	}
+	return int(d.pos[v]), true
 }
 
 // Get returns v's distance and whether v was reached this epoch.
 //
 //gqbe:hotpath
 func (d *DistMap) Get(v NodeID) (int, bool) {
-	if v < 0 || int(v) >= len(d.dist) || d.stamp[v] != d.epoch {
+	i, ok := d.Index(v)
+	if !ok {
 		return 0, false
 	}
-	return int(d.dist[v]), true
+	return int(d.dist[i]), true
 }
 
 // Size returns the node-ID range the table covers (its NewDistMap argument).
-func (d *DistMap) Size() int { return len(d.dist) }
+func (d *DistMap) Size() int { return len(d.pos) }
 
 // Reached returns the reached nodes in BFS visit order. The slice is owned
 // by the map and valid until the next Reset.
 func (d *DistMap) Reached() []NodeID { return d.order }
+
+// Dists returns the distances of the reached nodes, parallel to Reached
+// (nondecreasing, since that is BFS order). The slice is owned by the map
+// and valid until the next Reset.
+func (d *DistMap) Dists() []int32 { return d.dist }
 
 // UndirectedDistancesInto runs a breadth-first search from the seed nodes,
 // treating every edge as undirected, recording into d (which is Reset
@@ -87,7 +110,7 @@ func (g *Graph) UndirectedDistancesInto(d *DistMap, seeds []NodeID, maxDepth int
 	}
 	for head := 0; head < len(d.order); head++ {
 		v := d.order[head]
-		dv := int(d.dist[v])
+		dv := int(d.dist[head])
 		if dv == maxDepth {
 			continue
 		}

@@ -1,74 +1,82 @@
 package graph
 
-// UnionFind is a disjoint-set forest over NodeIDs, used by the greedy MQG
-// search (Alg. 1) to maintain weakly connected components incrementally as
-// edges are added in descending weight order.
+// UnionFind is a disjoint-set forest over dense ids [0, n) — a subgraph's
+// nodes numbered locally — that also counts the edges added to each set.
+// The greedy MQG search (Alg. 1) uses it to maintain weakly connected
+// components incrementally as edges are added in descending weight order.
 type UnionFind struct {
-	parent map[NodeID]NodeID
-	rank   map[NodeID]int
-	size   map[NodeID]int // component edge counts, maintained by AddEdge
+	// parent[v] is v's parent, or −(size of v's set) when v is a root.
+	parent []int32
+	edges  []int32 // per root: the edges added to its set
 }
 
-// NewUnionFind returns an empty disjoint-set forest.
-func NewUnionFind() *UnionFind {
-	return &UnionFind{
-		parent: make(map[NodeID]NodeID),
-		rank:   make(map[NodeID]int),
-		size:   make(map[NodeID]int),
+// NewUnionFind returns a forest of n singletons.
+func NewUnionFind(n int) *UnionFind {
+	u := &UnionFind{}
+	u.Reset(n)
+	return u
+}
+
+// Reset makes every id in [0, n) a singleton with no edges, reusing the
+// forest's storage.
+func (u *UnionFind) Reset(n int) {
+	if cap(u.parent) < n {
+		u.parent = make([]int32, n)
+		u.edges = make([]int32, n)
+	}
+	u.parent, u.edges = u.parent[:n], u.edges[:n]
+	for i := range u.parent {
+		u.parent[i] = -1
+		u.edges[i] = 0
 	}
 }
 
-// Find returns the representative of v's component, adding v as a singleton
-// if it has not been seen.
-func (u *UnionFind) Find(v NodeID) NodeID {
-	p, ok := u.parent[v]
-	if !ok {
-		u.parent[v] = v
-		return v
+// Find returns the representative of v's set, halving the path walked.
+func (u *UnionFind) Find(v int32) int32 {
+	for {
+		p := u.parent[v]
+		if p < 0 {
+			return v
+		}
+		gp := u.parent[p]
+		if gp < 0 {
+			return p
+		}
+		u.parent[v] = gp
+		v = gp
 	}
-	if p == v {
-		return v
-	}
-	root := u.Find(p)
-	u.parent[v] = root
-	return root
 }
 
-// Union merges the components of a and b and returns the new representative.
-func (u *UnionFind) Union(a, b NodeID) NodeID {
+// Union merges the sets of a and b (the smaller under the larger) and
+// returns the representative of the merged set.
+func (u *UnionFind) Union(a, b int32) int32 {
 	ra, rb := u.Find(a), u.Find(b)
 	if ra == rb {
 		return ra
 	}
-	if u.rank[ra] < u.rank[rb] {
+	if u.parent[ra] > u.parent[rb] {
 		ra, rb = rb, ra
 	}
+	u.parent[ra] += u.parent[rb]
 	u.parent[rb] = ra
-	if u.rank[ra] == u.rank[rb] {
-		u.rank[ra]++
-	}
-	u.size[ra] += u.size[rb]
-	delete(u.size, rb)
+	u.edges[ra] += u.edges[rb]
 	return ra
 }
 
-// AddEdge merges the endpoints' components and increments the component's
-// edge count. It returns the component representative.
-func (u *UnionFind) AddEdge(e Edge) NodeID {
-	r := u.Union(e.Src, e.Dst)
-	u.size[r]++
+// AddEdge merges the sets of an edge's endpoints a and b and counts the
+// edge in the merged set. It returns the set's representative.
+func (u *UnionFind) AddEdge(a, b int32) int32 {
+	r := u.Union(a, b)
+	u.edges[r]++
 	return r
 }
 
-// EdgeCount returns the number of edges added to v's component.
-func (u *UnionFind) EdgeCount(v NodeID) int { return u.size[u.Find(v)] }
+// EdgeCount returns the number of edges added to v's set.
+func (u *UnionFind) EdgeCount(v int32) int { return int(u.edges[u.Find(v)]) }
 
-// SameSet reports whether a and b are in the same component.
-func (u *UnionFind) SameSet(a, b NodeID) bool { return u.Find(a) == u.Find(b) }
-
-// AllSameSet reports whether every node in vs is in one component.
-// Vacuously true for empty or single-node input (the node is auto-added).
-func (u *UnionFind) AllSameSet(vs []NodeID) bool {
+// AllSameSet reports whether every id in vs is in one set. Vacuously true
+// for empty or single-id input.
+func (u *UnionFind) AllSameSet(vs []int32) bool {
 	if len(vs) == 0 {
 		return true
 	}

@@ -34,51 +34,40 @@ func MergeCtx(ctx context.Context, mqgs []*MQG, r int) (*MQG, error) {
 		return nil, fmt.Errorf("mqg: target size r = %d, need ≥ 1", r)
 	}
 
-	type agg struct {
-		count int
-		wmax  float64
-	}
-	merged := make(map[graph.Edge]*agg)
-	var order []graph.Edge // first-seen order for determinism
-	for _, m := range mqgs {
-		toVirtual := make(map[graph.NodeID]graph.NodeID, n)
-		for slot, v := range m.Tuple {
-			toVirtual[v] = VirtualNode(slot)
-		}
-		mapNode := func(v graph.NodeID) graph.NodeID {
-			if w, ok := toVirtual[v]; ok {
-				return w
-			}
-			return v
-		}
-		// Within one source MQG an edge must contribute at most once to the
-		// presence count even if two of its edges collapse onto the same
-		// virtual edge.
-		seen := make(map[graph.Edge]bool)
+	// The union in first-seen order (for determinism): each virtual edge's
+	// presence count c and maximal weight wmax.
+	index := make(map[graph.Edge]int)
+	var edges []graph.Edge
+	var count []int
+	var wmax []float64
+	var lastSeen []int // the last source MQG that counted the edge
+	for mi, m := range mqgs {
 		for i, e := range m.Sub.Edges {
-			ve := graph.Edge{Src: mapNode(e.Src), Label: e.Label, Dst: mapNode(e.Dst)}
-			a, ok := merged[ve]
+			ve := graph.Edge{Src: virtualize(m.Tuple, e.Src), Label: e.Label, Dst: virtualize(m.Tuple, e.Dst)}
+			j, ok := index[ve]
 			if !ok {
-				a = &agg{}
-				merged[ve] = a
-				order = append(order, ve)
+				j = len(edges)
+				index[ve] = j
+				edges = append(edges, ve)
+				count = append(count, 0)
+				wmax = append(wmax, 0)
+				lastSeen = append(lastSeen, -1)
 			}
-			if !seen[ve] {
-				a.count++
-				seen[ve] = true
+			// Within one source MQG an edge must contribute at most once to
+			// the presence count even if two of its edges collapse onto the
+			// same virtual edge.
+			if lastSeen[j] != mi {
+				count[j]++
+				lastSeen[j] = mi
 			}
-			if w := m.Weights[i]; w > a.wmax {
-				a.wmax = w
+			if w := m.Weights[i]; w > wmax[j] {
+				wmax[j] = w
 			}
 		}
 	}
-
-	edges := make([]graph.Edge, len(order))
-	weights := make([]float64, len(order))
-	copy(edges, order)
-	for i, e := range edges {
-		a := merged[e]
-		weights[i] = float64(a.count) * a.wmax
+	weights := make([]float64, len(edges))
+	for i := range edges {
+		weights[i] = float64(count[i]) * wmax[i]
 	}
 
 	virtualTuple := make([]graph.NodeID, n)
@@ -86,29 +75,43 @@ func MergeCtx(ctx context.Context, mqgs []*MQG, r int) (*MQG, error) {
 		virtualTuple[slot] = VirtualNode(slot)
 	}
 
-	sub := graph.NewSubGraph(edges)
-	if len(sub.Edges) > r {
-		trimmed, err := discoverWeighted(ctx, sub, weights, virtualTuple, r)
-		if err != nil {
+	f := newFrame(edges, weights, virtualTuple)
+	lt := f.locals(virtualTuple)
+	idx := make([]int32, len(edges))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	if len(edges) > r {
+		var err error
+		if idx, err = f.discoverWeighted(ctx, lt, r); err != nil {
 			return nil, fmt.Errorf("mqg: trimming merged MQG: %w", err)
 		}
-		// Re-associate weights with the surviving edges.
-		kept := make([]float64, len(trimmed.Edges))
-		for i, e := range trimmed.Edges {
-			kept[i] = float64(merged[e].count) * merged[e].wmax
-		}
-		sub, weights = trimmed, kept
 	}
-	if !sub.IsWeaklyConnected(virtualTuple) {
+	if !f.connected(idx, lt) {
 		return nil, errors.New("mqg: merged MQG is not weakly connected over the virtual entities")
 	}
+	kept := make([]float64, len(idx))
+	for i, ei := range idx {
+		kept[i] = weights[ei]
+	}
 	out := &MQG{
-		Sub:     sub,
-		Weights: weights,
-		Depths:  edgeDepths(sub, virtualTuple),
+		Sub:     f.subGraph(idx),
+		Weights: kept,
+		Depths:  f.edgeDepths(idx, lt),
 		Tuple:   virtualTuple,
 	}
 	return out, nil
+}
+
+// virtualize maps v to the virtual node of its slot in tuple, or returns
+// it unchanged when it is not a query entity.
+func virtualize(tuple []graph.NodeID, v graph.NodeID) graph.NodeID {
+	for slot := len(tuple) - 1; slot >= 0; slot-- {
+		if tuple[slot] == v {
+			return VirtualNode(slot)
+		}
+	}
+	return v
 }
 
 // SortEdgesByWeight returns the MQG's edge indices in descending weight

@@ -148,7 +148,7 @@ func TestMergeTrimsToBudget(t *testing.T) {
 	if len(merged.Sub.Edges) > 8 {
 		t.Errorf("merged MQG has %d edges, expected close to r=5", len(merged.Sub.Edges))
 	}
-	if !merged.Sub.IsWeaklyConnected(merged.Tuple) {
+	if !testkg.WeaklyConnected(merged.Sub, merged.Tuple) {
 		t.Error("trimmed merged MQG disconnected")
 	}
 }

@@ -13,10 +13,11 @@
 package mqg
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gqbe/internal/graph"
 	"gqbe/internal/stats"
@@ -120,57 +121,171 @@ func DiscoverCtx(ctx context.Context, st *stats.Stats, reduced *graph.SubGraph, 
 	for i, e := range reduced.Edges {
 		weights[i] = st.Weight(e) // Eq. 2 while discovering
 	}
-	sub, err := discoverWeighted(ctx, reduced, weights, tuple, r)
+	f := newFrame(reduced.Edges, weights, tuple)
+	lt := f.locals(tuple)
+	idx, err := f.discoverWeighted(ctx, lt, r)
 	if err != nil {
 		return nil, err
 	}
-	m := &MQG{Sub: sub, Tuple: append([]graph.NodeID(nil), tuple...)}
-	m.Depths = edgeDepths(sub, tuple)
-	m.Weights = make([]float64, len(sub.Edges))
-	for i, e := range sub.Edges {
+	m := &MQG{Sub: f.subGraph(idx), Tuple: append([]graph.NodeID(nil), tuple...)}
+	m.Depths = f.edgeDepths(idx, lt)
+	m.Weights = make([]float64, len(idx))
+	for i, e := range m.Sub.Edges {
 		m.Weights[i] = st.DepthWeight(e, m.Depths[i]) // Eq. 8 for scoring
 	}
 	return m, nil
 }
 
+// frame numbers a weighted subgraph's nodes with dense local ids — their
+// rank in ascending NodeID order — so that Alg. 1's connectivity work runs
+// on slices and one union-find. Edge sets are index lists into edges.
+type frame struct {
+	edges    []graph.Edge
+	weights  []float64
+	src, dst []int32        // each edge's local endpoints
+	nodes    []graph.NodeID // local id → NodeID, ascending
+	uf       graph.UnionFind
+}
+
+// newFrame numbers the endpoints of edges and the nodes of tuple.
+func newFrame(edges []graph.Edge, weights []float64, tuple []graph.NodeID) *frame {
+	nodes := make([]graph.NodeID, 0, 2*len(edges)+len(tuple))
+	for _, e := range edges {
+		nodes = append(nodes, e.Src, e.Dst)
+	}
+	nodes = append(nodes, tuple...)
+	slices.Sort(nodes)
+	f := &frame{edges: edges, weights: weights, nodes: slices.Compact(nodes)}
+	ends := make([]int32, 2*len(edges))
+	f.src, f.dst = ends[:len(edges)], ends[len(edges):]
+	for i, e := range edges {
+		f.src[i], f.dst[i] = f.local(e.Src), f.local(e.Dst)
+	}
+	return f
+}
+
+// local returns v's local id; v must be a node of the frame.
+func (f *frame) local(v graph.NodeID) int32 {
+	i, _ := slices.BinarySearch(f.nodes, v)
+	return int32(i)
+}
+
+func (f *frame) locals(vs []graph.NodeID) []int32 {
+	out := make([]int32, len(vs))
+	for i, v := range vs {
+		out[i] = f.local(v)
+	}
+	return out
+}
+
+// subGraph copies the edges idx lists, in that order.
+func (f *frame) subGraph(idx []int32) *graph.SubGraph {
+	edges := make([]graph.Edge, len(idx))
+	for i, ei := range idx {
+		edges[i] = f.edges[ei]
+	}
+	return &graph.SubGraph{Edges: edges}
+}
+
+// compareEdges orders edges by identity, the deterministic tie-break of
+// every weight order here.
+func compareEdges(a, b graph.Edge) int {
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Label, b.Label); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Dst, b.Dst)
+}
+
+// heavierFirst orders edge indices by descending weight, then identity.
+func (f *frame) heavierFirst(i, j int32) int {
+	if wi, wj := f.weights[i], f.weights[j]; wi != wj {
+		if wi > wj {
+			return -1
+		}
+		return 1
+	}
+	return compareEdges(f.edges[i], f.edges[j])
+}
+
+// lighterFirst orders edge indices by ascending weight, then identity.
+func (f *frame) lighterFirst(i, j int32) int {
+	if wi, wj := f.weights[i], f.weights[j]; wi != wj {
+		if wi < wj {
+			return -1
+		}
+		return 1
+	}
+	return compareEdges(f.edges[i], f.edges[j])
+}
+
 // discoverWeighted is the weight-agnostic body of Alg. 1, shared by Discover
-// and by Merge's trimming step. ctx is checked between per-part trims.
-func discoverWeighted(ctx context.Context, reduced *graph.SubGraph, weights []float64, tuple []graph.NodeID, r int) (*graph.SubGraph, error) {
+// and by Merge's trimming step: it returns the chosen edges as indices into
+// the frame. ctx is checked between per-part trims.
+func (f *frame) discoverWeighted(ctx context.Context, tuple []int32, r int) ([]int32, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	parts := decompose(reduced, weights, tuple)
+	parts := f.decompose(tuple)
 	m := r / len(parts) // line 1 of Alg. 1: balanced per-component budget
 	if m < 1 {
 		m = 1
 	}
-	var union []graph.Edge
+	var union []int32
 	for _, p := range parts {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ms := greedyTrim(p.edges, p.weights, p.required, m)
-		union = append(union, ms.Edges...)
+		union = append(union, f.greedyTrim(p.edges, p.required, m)...)
 	}
-	sub := graph.NewSubGraph(union)
-	if !sub.IsWeaklyConnected(tuple) {
+	if !f.connected(union, tuple) {
 		// The decomposition argument guarantees connectivity whenever the
 		// reduced graph is connected; this is a defensive fallback that
 		// re-runs the greedy over the whole graph as one core.
-		sub = greedyTrim(reduced.Edges, weights, tuple, r)
-		if !sub.IsWeaklyConnected(tuple) {
+		all := make([]int32, len(f.edges))
+		for i := range all {
+			all[i] = int32(i)
+		}
+		union = f.greedyTrim(all, tuple, r)
+		if !f.connected(union, tuple) {
 			return nil, errors.New("mqg: could not assemble a weakly connected MQG")
 		}
 	}
-	return sub, nil
+	return union, nil
 }
 
-// part is one unit of the divide-and-conquer: an edge set, its weights, and
-// the query entities it must keep connected.
+// connected reports whether the edges idx lists form one weakly connected
+// graph that has every required node as an endpoint. No edges is not
+// connected.
+func (f *frame) connected(idx, required []int32) bool {
+	if len(idx) == 0 {
+		return false
+	}
+	f.uf.Reset(len(f.nodes))
+	for _, ei := range idx {
+		f.uf.Union(f.src[ei], f.dst[ei])
+	}
+	root := f.uf.Find(f.src[idx[0]])
+	for _, ei := range idx {
+		if f.uf.Find(f.src[ei]) != root {
+			return false
+		}
+	}
+	for _, v := range required {
+		if f.uf.Find(v) != root {
+			return false
+		}
+	}
+	return true
+}
+
+// part is one unit of the divide-and-conquer: an edge set (indices into
+// the frame) and the query entities (local ids) it must keep connected.
 type part struct {
-	edges    []graph.Edge
-	weights  []float64
-	required []graph.NodeID
+	edges    []int32
+	required []int32
 }
 
 // decompose splits the reduced neighborhood graph into the core graph and
@@ -179,87 +294,78 @@ type part struct {
 // v_i (plus its attachment edges) forms v_i's individual subgraph — its
 // nodes connect to other entities only through v_i. Components adjacent to
 // two or more entities, and direct entity-entity edges, form the core.
-func decompose(reduced *graph.SubGraph, weights []float64, tuple []graph.NodeID) []part {
-	isEntity := make(map[graph.NodeID]bool, len(tuple))
-	for _, v := range tuple {
-		isEntity[v] = true
+func (f *frame) decompose(tuple []int32) []part {
+	n := len(f.nodes)
+	// slot[v] is 1 + v's position in the tuple, 0 for a non-entity.
+	slot := make([]int32, n)
+	for i, v := range tuple {
+		slot[v] = int32(i) + 1
 	}
 	// Union non-entity endpoints to get components of (reduced − entities).
-	uf := graph.NewUnionFind()
-	for _, e := range reduced.Edges {
-		if !isEntity[e.Src] && !isEntity[e.Dst] {
-			uf.Union(e.Src, e.Dst)
+	f.uf.Reset(n)
+	for i, s := range f.src {
+		if t := f.dst[i]; slot[s] == 0 && slot[t] == 0 {
+			f.uf.Union(s, t)
 		}
 	}
-	// adjacentEntities[rep] = set of entities with an edge into the component.
-	adjacentEntities := make(map[graph.NodeID]map[graph.NodeID]bool)
-	noteAdjacent := func(compNode, entity graph.NodeID) {
-		rep := uf.Find(compNode)
-		s, ok := adjacentEntities[rep]
-		if !ok {
-			s = make(map[graph.NodeID]bool, 2)
-			adjacentEntities[rep] = s
-		}
-		s[entity] = true
+	// sole[rep] is the one entity with an edge into the component, none if
+	// no entity has one, or many.
+	const none, many = -1, -2
+	sole := make([]int32, n)
+	for i := range sole {
+		sole[i] = none
 	}
-	for _, e := range reduced.Edges {
-		srcEnt, dstEnt := isEntity[e.Src], isEntity[e.Dst]
+	noteAdjacent := func(compNode, entity int32) {
+		rep := f.uf.Find(compNode)
+		switch sole[rep] {
+		case none:
+			sole[rep] = entity
+		case entity:
+		default:
+			sole[rep] = many
+		}
+	}
+	for i, s := range f.src {
+		t := f.dst[i]
+		srcEnt, dstEnt := slot[s] != 0, slot[t] != 0
 		switch {
 		case srcEnt && !dstEnt:
-			noteAdjacent(e.Dst, e.Src)
+			noteAdjacent(t, s)
 		case !srcEnt && dstEnt:
-			noteAdjacent(e.Src, e.Dst)
+			noteAdjacent(s, t)
 		}
 	}
 	// Assign each edge to core or to one entity's individual subgraph.
-	entityIndex := make(map[graph.NodeID]int, len(tuple))
-	for i, v := range tuple {
-		entityIndex[v] = i
-	}
 	core := part{required: tuple}
 	indiv := make([]part, len(tuple))
-	for i, v := range tuple {
-		indiv[i].required = []graph.NodeID{v}
+	for i := range tuple {
+		indiv[i].required = tuple[i : i+1]
 	}
-	soleEntity := func(compNode graph.NodeID) (graph.NodeID, bool) {
-		s := adjacentEntities[uf.Find(compNode)]
-		if len(s) != 1 {
-			return 0, false
-		}
-		//gqbelint:ignore determinism single-element set: the range yields its only key, no order involved
-		for v := range s {
-			return v, true
-		}
-		return 0, false
-	}
-	for i, e := range reduced.Edges {
-		srcEnt, dstEnt := isEntity[e.Src], isEntity[e.Dst]
-		var owner graph.NodeID
-		var individual bool
+	for i, s := range f.src {
+		t := f.dst[i]
+		srcEnt, dstEnt := slot[s] != 0, slot[t] != 0
+		owner := int32(none)
 		switch {
 		case srcEnt && dstEnt:
 			// direct entity-entity edge: core by definition
 		case srcEnt || dstEnt:
-			comp := e.Dst
-			entity := e.Src
+			comp, entity := t, s
 			if dstEnt {
-				comp, entity = e.Src, e.Dst
+				comp, entity = s, t
 			}
-			if v, ok := soleEntity(comp); ok && v == entity {
-				owner, individual = v, true
+			if sole[f.uf.Find(comp)] == entity {
+				owner = entity
 			}
 		default:
-			if v, ok := soleEntity(e.Src); ok {
-				owner, individual = v, true
+			if v := sole[f.uf.Find(s)]; v >= 0 {
+				owner = v
 			}
 		}
-		if individual {
-			j := entityIndex[owner]
-			indiv[j].edges = append(indiv[j].edges, e)
-			indiv[j].weights = append(indiv[j].weights, weights[i])
+		if owner != none {
+			j := slot[owner] - 1
+			indiv[j].edges = append(indiv[j].edges, int32(i))
 		} else {
-			core.edges = append(core.edges, e)
-			core.weights = append(core.weights, weights[i])
+			core.edges = append(core.edges, int32(i))
 		}
 	}
 	parts := make([]part, 0, len(tuple)+1)
@@ -274,43 +380,27 @@ func decompose(reduced *graph.SubGraph, weights []float64, tuple []graph.NodeID)
 	return parts
 }
 
-// greedyTrim is the greedy search of Alg. 1 lines 7–21: scan edges in
-// descending weight order, maintaining weakly connected components
-// incrementally, and return M_s — the component containing all required
-// entities — for the smallest s with |E(M_s)| = m; failing an exact hit,
-// the largest size below m; failing that, the smallest size above m.
-// |E(M_s)| is monotone nondecreasing in s, so one forward scan suffices.
-func greedyTrim(edges []graph.Edge, weights []float64, required []graph.NodeID, m int) *graph.SubGraph {
-	order := make([]int, len(edges))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		if weights[i] != weights[j] {
-			return weights[i] > weights[j]
-		}
-		// Deterministic tie-break on edge identity.
-		ei, ej := edges[i], edges[j]
-		if ei.Src != ej.Src {
-			return ei.Src < ej.Src
-		}
-		if ei.Label != ej.Label {
-			return ei.Label < ej.Label
-		}
-		return ei.Dst < ej.Dst
-	})
+// greedyTrim is the greedy search of Alg. 1 lines 7–21 over the edges idx
+// lists: scan edges in descending weight order, maintaining weakly
+// connected components incrementally, and return M_s — the component
+// containing all required entities — for the smallest s with |E(M_s)| = m;
+// failing an exact hit, the largest size below m; failing that, the
+// smallest size above m. |E(M_s)| is monotone nondecreasing in s, so one
+// forward scan suffices. M_s is returned in scan order; it is empty when
+// the required entities never connect.
+func (f *frame) greedyTrim(idx, required []int32, m int) []int32 {
+	order := slices.Clone(idx)
+	slices.SortFunc(order, f.heavierFirst)
 
-	uf := graph.NewUnionFind()
-	// Seed required nodes so connectivity checks see them even before any
-	// of their edges arrive.
-	for _, v := range required {
-		uf.Find(v)
-	}
+	// Required nodes are singletons of the forest from the start, so
+	// connectivity checks see them even before any of their edges arrive.
+	uf := &f.uf
+	uf.Reset(len(f.nodes))
 	sExact, sBelow, sAbove := -1, -1, -1
 	sizeBelow := -1
 	for s := 1; s <= len(order); s++ {
-		uf.AddEdge(edges[order[s-1]])
+		ei := order[s-1]
+		uf.AddEdge(f.src[ei], f.dst[ei])
 		if !uf.AllSameSet(required) {
 			continue
 		}
@@ -340,22 +430,18 @@ func greedyTrim(edges []graph.Edge, weights []float64, required []graph.NodeID, 
 	}
 	if s < 0 {
 		// Required nodes never became connected; emit nothing.
-		return &graph.SubGraph{}
+		return nil
 	}
 	// Rebuild the component at exactly s edges and extract M_s.
-	uf = graph.NewUnionFind()
-	for _, v := range required {
-		uf.Find(v)
-	}
-	for i := 0; i < s; i++ {
-		uf.AddEdge(edges[order[i]])
+	uf.Reset(len(f.nodes))
+	for _, ei := range order[:s] {
+		uf.AddEdge(f.src[ei], f.dst[ei])
 	}
 	root := uf.Find(required[0])
-	var ms []graph.Edge
-	for i := 0; i < s; i++ {
-		e := edges[order[i]]
-		if uf.Find(e.Src) == root {
-			ms = append(ms, e)
+	ms := order[:0]
+	for _, ei := range order[:s] {
+		if uf.Find(f.src[ei]) == root {
+			ms = append(ms, ei)
 		}
 	}
 	// The s2 case ("smallest size above m") can overshoot badly when the
@@ -366,18 +452,9 @@ func greedyTrim(edges []graph.Edge, weights []float64, required []graph.NodeID, 
 	// required entities weakly connected (discarding any fragment that
 	// splits off), until the budget is met.
 	if len(ms) > m {
-		ms = pruneBack(ms, weightOf(edges, weights), required, m)
+		ms = f.pruneBack(ms, required, m)
 	}
-	return graph.NewSubGraph(ms)
-}
-
-// weightOf builds an edge→weight lookup for pruneBack.
-func weightOf(edges []graph.Edge, weights []float64) map[graph.Edge]float64 {
-	w := make(map[graph.Edge]float64, len(edges))
-	for i, e := range edges {
-		w[e] = weights[i]
-	}
-	return w
+	return ms
 }
 
 // pruneBack trims ms to at most m edges by reverse greedy deletion: at each
@@ -385,33 +462,21 @@ func weightOf(edges []graph.Edge, weights []float64) map[graph.Edge]float64 {
 // weakly connected component is deleted (together with any fragment the
 // deletion disconnects). If no edge is removable (every deletion would
 // disconnect a required entity), the current graph is returned as is.
-func pruneBack(ms []graph.Edge, weight map[graph.Edge]float64, required []graph.NodeID, m int) []graph.Edge {
-	cur := graph.NewSubGraph(ms)
-	for cur.NumEdges() > m {
-		// Try candidates in ascending weight order.
-		idx := make([]int, len(cur.Edges))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool {
-			wa, wb := weight[cur.Edges[idx[a]]], weight[cur.Edges[idx[b]]]
-			if wa != wb {
-				return wa < wb
-			}
-			ea, eb := cur.Edges[idx[a]], cur.Edges[idx[b]]
-			if ea.Src != eb.Src {
-				return ea.Src < eb.Src
-			}
-			if ea.Label != eb.Label {
-				return ea.Label < eb.Label
-			}
-			return ea.Dst < eb.Dst
-		})
+func (f *frame) pruneBack(ms, required []int32, m int) []int32 {
+	// Candidates in ascending weight order; the order of the surviving
+	// edges never changes, so one sort serves every step.
+	byWeight := slices.Clone(ms)
+	slices.SortFunc(byWeight, f.lighterFirst)
+	in := make([]bool, len(f.edges))
+	for _, ei := range ms {
+		in[ei] = true
+	}
+	cur := ms
+	for len(cur) > m {
 		removed := false
-		for _, i := range idx {
-			comp := cur.WithoutEdge(i).ComponentContaining(required)
-			if comp != nil {
-				cur = comp
+		for _, cand := range byWeight {
+			if in[cand] && f.dropEdge(cur, cand, required) {
+				cur = f.keepComponent(cur, cand, required[0], in)
 				removed = true
 				break
 			}
@@ -420,25 +485,69 @@ func pruneBack(ms []graph.Edge, weight map[graph.Edge]float64, required []graph.
 			break
 		}
 	}
-	return cur.Edges
+	return cur
 }
 
-// edgeDepths computes the Eq. 7 depth of every MQG edge: the smallest hop
-// distance from either endpoint to any query entity within the MQG, clamped
-// to ≥1 (edges incident on an entity have raw depth 0; the clamp keeps
-// Eq. 8 finite and gives them maximum weight).
-func edgeDepths(sub *graph.SubGraph, tuple []graph.NodeID) []int {
-	dist := sub.UndirectedDistances(tuple)
-	depths := make([]int, len(sub.Edges))
-	for i, e := range sub.Edges {
-		d := dist[e.Src]
-		if dv := dist[e.Dst]; dv < d {
-			d = dv
+// dropEdge reports whether cur without edge cand still has an edge at
+// required[0] and keeps every required node in its component. It leaves
+// the frame's forest holding cur without cand.
+func (f *frame) dropEdge(cur []int32, cand int32, required []int32) bool {
+	f.uf.Reset(len(f.nodes))
+	incident := false
+	for _, ei := range cur {
+		if ei == cand {
+			continue
 		}
-		if d < 1 {
-			d = 1
+		s, t := f.src[ei], f.dst[ei]
+		f.uf.Union(s, t)
+		incident = incident || s == required[0] || t == required[0]
+	}
+	return incident && f.uf.AllSameSet(required)
+}
+
+// keepComponent filters cur in place, after a successful dropEdge, to the
+// edges other than cand in v's component, keeping in in step.
+func (f *frame) keepComponent(cur []int32, cand, v int32, in []bool) []int32 {
+	root := f.uf.Find(v)
+	next := cur[:0]
+	for _, ei := range cur {
+		in[ei] = ei != cand && f.uf.Find(f.src[ei]) == root
+		if in[ei] {
+			next = append(next, ei)
 		}
-		depths[i] = d
+	}
+	return next
+}
+
+// edgeDepths computes the Eq. 7 depth of every edge idx lists: the
+// smallest hop distance from either endpoint to any query entity within
+// those edges, clamped to ≥1 (edges incident on an entity have raw depth 0;
+// the clamp keeps Eq. 8 finite and gives them maximum weight). An endpoint
+// no entity reaches counts as depth 0.
+func (f *frame) edgeDepths(idx, tuple []int32) []int {
+	dist := make([]int32, len(f.nodes))
+	for i := range dist {
+		dist[i] = -1
+	}
+	for _, v := range tuple {
+		dist[v] = 0
+	}
+	// Level-synchronous BFS: an MQG is a few dozen edges at most.
+	for level, grew := int32(0), true; grew; level++ {
+		grew = false
+		for _, ei := range idx {
+			s, t := f.src[ei], f.dst[ei]
+			if dist[s] == level && dist[t] < 0 {
+				dist[t], grew = level+1, true
+			}
+			if dist[t] == level && dist[s] < 0 {
+				dist[s], grew = level+1, true
+			}
+		}
+	}
+	depths := make([]int, len(idx))
+	for i, ei := range idx {
+		depths[i] = int(max(min(dist[f.src[ei]], dist[f.dst[ei]]), 1))
 	}
 	return depths
 }

@@ -38,7 +38,7 @@ func TestDiscoverBasicShape(t *testing.T) {
 		t.Errorf("MQG has %d edges, expected close to r=10", len(m.Sub.Edges))
 	}
 	tuple := testkg.Tuple(g, "Jerry Yang", "Yahoo!")
-	if !m.Sub.IsWeaklyConnected(tuple) {
+	if !testkg.WeaklyConnected(m.Sub, tuple) {
 		t.Error("MQG is not weakly connected over the query entities")
 	}
 	if len(m.Weights) != len(m.Sub.Edges) || len(m.Depths) != len(m.Sub.Edges) {
@@ -60,7 +60,7 @@ func TestDiscoverKeepsFoundedEdge(t *testing.T) {
 func TestDiscoverSmallBudget(t *testing.T) {
 	g, _, m := fig1MQG(t, 3, "Jerry Yang", "Yahoo!")
 	tuple := testkg.Tuple(g, "Jerry Yang", "Yahoo!")
-	if !m.Sub.IsWeaklyConnected(tuple) {
+	if !testkg.WeaklyConnected(m.Sub, tuple) {
 		t.Error("small-budget MQG is disconnected")
 	}
 	if len(m.Sub.Edges) > 6 {
@@ -73,7 +73,7 @@ func TestDiscoverSingleEntity(t *testing.T) {
 	if !m.Sub.HasNode(g.MustNode("Stanford")) {
 		t.Error("single-entity MQG does not contain the entity")
 	}
-	if !m.Sub.IsWeaklyConnected(testkg.Tuple(g, "Stanford")) {
+	if !testkg.WeaklyConnected(m.Sub, testkg.Tuple(g, "Stanford")) {
 		t.Error("single-entity MQG disconnected")
 	}
 }
@@ -81,7 +81,7 @@ func TestDiscoverSingleEntity(t *testing.T) {
 func TestDepthsClampedAndOrdered(t *testing.T) {
 	g, _, m := fig1MQG(t, 12, "Jerry Yang", "Yahoo!")
 	tuple := testkg.Tuple(g, "Jerry Yang", "Yahoo!")
-	dist := m.Sub.UndirectedDistances(tuple)
+	dist := testkg.Distances(m.Sub, tuple)
 	for i, e := range m.Sub.Edges {
 		if m.Depths[i] < 1 {
 			t.Fatalf("depth %d < 1 for edge %d", m.Depths[i], i)
@@ -158,6 +158,29 @@ func TestDiscoverErrors(t *testing.T) {
 	}
 }
 
+// framed numbers edges and required in a frame and returns the frame, all
+// of its edge indices and required's local ids.
+func framed(edges []graph.Edge, weights []float64, required []graph.NodeID) (*frame, []int32, []int32) {
+	f := newFrame(edges, weights, required)
+	all := make([]int32, len(edges))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	return f, all, f.locals(required)
+}
+
+// trim runs the greedy search over all of edges.
+func trim(edges []graph.Edge, weights []float64, required []graph.NodeID, m int) *graph.SubGraph {
+	f, all, req := framed(edges, weights, required)
+	return f.subGraph(f.greedyTrim(all, req, m))
+}
+
+// decompose splits edges into parts around the entities of tuple.
+func decompose(edges []graph.Edge, weights []float64, tuple []graph.NodeID) []part {
+	f, _, lt := framed(edges, weights, tuple)
+	return f.decompose(lt)
+}
+
 func TestGreedyTrimExactBudget(t *testing.T) {
 	// A star around node 0 with strictly decreasing weights must trim to
 	// exactly m highest-weight edges.
@@ -167,7 +190,7 @@ func TestGreedyTrimExactBudget(t *testing.T) {
 		edges = append(edges, graph.Edge{Src: 0, Label: 0, Dst: graph.NodeID(i)})
 		weights = append(weights, float64(10-i))
 	}
-	ms := greedyTrim(edges, weights, []graph.NodeID{0}, 3)
+	ms := trim(edges, weights, []graph.NodeID{0}, 3)
 	if len(ms.Edges) != 3 {
 		t.Fatalf("trim produced %d edges, want 3", len(ms.Edges))
 	}
@@ -190,7 +213,7 @@ func TestGreedyTrimPrefersBelowWhenNoExact(t *testing.T) {
 		{Src: 1, Label: 0, Dst: 10},  // w=6, merges everything: size 4
 	}
 	weights := []float64{9, 8, 7, 6}
-	ms := greedyTrim(edges, weights, []graph.NodeID{0}, 3)
+	ms := trim(edges, weights, []graph.NodeID{0}, 3)
 	if len(ms.Edges) != 1 {
 		t.Fatalf("want the size-1 M_s (largest below m), got %d edges", len(ms.Edges))
 	}
@@ -209,7 +232,7 @@ func TestGreedyTrimTakesAboveWhenNothingBelow(t *testing.T) {
 		{Src: 0, Label: 1, Dst: 99}, // w=1
 	}
 	weights := []float64{9, 8, 7, 1}
-	ms := greedyTrim(edges, weights, []graph.NodeID{0, 1}, 2)
+	ms := trim(edges, weights, []graph.NodeID{0, 1}, 2)
 	if len(ms.Edges) != 3 {
 		t.Fatalf("want the size-3 M_s (smallest above m), got %d", len(ms.Edges))
 	}
@@ -217,7 +240,7 @@ func TestGreedyTrimTakesAboveWhenNothingBelow(t *testing.T) {
 
 func TestGreedyTrimDisconnected(t *testing.T) {
 	edges := []graph.Edge{{Src: 0, Label: 0, Dst: 1}}
-	ms := greedyTrim(edges, []float64{1}, []graph.NodeID{0, 7}, 2)
+	ms := trim(edges, []float64{1}, []graph.NodeID{0, 7}, 2)
 	if len(ms.Edges) != 0 {
 		t.Errorf("unconnectable requirement should yield empty M_s, got %d edges", len(ms.Edges))
 	}
@@ -231,7 +254,7 @@ func TestGreedyTrimExcludesForeignComponents(t *testing.T) {
 		{Src: 1, Label: 0, Dst: 2},   // w=4
 	}
 	weights := []float64{9, 5, 4}
-	ms := greedyTrim(edges, weights, []graph.NodeID{0}, 2)
+	ms := trim(edges, weights, []graph.NodeID{0}, 2)
 	for _, e := range ms.Edges {
 		if e.Src == 50 {
 			t.Error("foreign component edge leaked into M_s")
@@ -252,7 +275,7 @@ func TestDecomposeSeparatesCoreAndIndividual(t *testing.T) {
 		{Src: 1, Label: 1, Dst: 4},
 	}
 	weights := []float64{1, 1, 1, 1}
-	parts := decompose(graph.NewSubGraph(edges), weights, []graph.NodeID{0, 1})
+	parts := decompose(edges, weights, []graph.NodeID{0, 1})
 	if len(parts) != 3 {
 		t.Fatalf("got %d parts, want core + 2 individuals", len(parts))
 	}
@@ -273,8 +296,8 @@ func TestDecomposeEntityEntityEdgeIsCore(t *testing.T) {
 		{Src: 0, Label: 1, Dst: 9},
 	}
 	weights := []float64{1, 1}
-	parts := decompose(graph.NewSubGraph(edges), weights, []graph.NodeID{0, 1})
-	if len(parts[0].edges) != 1 || parts[0].edges[0] != edges[0] {
+	parts := decompose(edges, weights, []graph.NodeID{0, 1})
+	if len(parts[0].edges) != 1 || parts[0].edges[0] != 0 {
 		t.Errorf("entity-entity edge not in core: %+v", parts[0].edges)
 	}
 }
@@ -288,7 +311,7 @@ func TestDecomposeMultiEntityComponentIsCore(t *testing.T) {
 		{Src: 3, Label: 0, Dst: 1},
 	}
 	weights := []float64{1, 1, 1}
-	parts := decompose(graph.NewSubGraph(edges), weights, []graph.NodeID{0, 1})
+	parts := decompose(edges, weights, []graph.NodeID{0, 1})
 	if len(parts) != 1 {
 		t.Fatalf("got %d parts, want 1 (all core)", len(parts))
 	}

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"gqbe/internal/graph"
@@ -38,31 +39,77 @@ type Result struct {
 	// Dist holds, for every node of Ht, its shortest undirected hop
 	// distance from the nearest query entity (query entities are at 0).
 	Dist *graph.DistMap
+
+	x *extraction // the pooled working state Dist belongs to
 }
 
-// distPool recycles full-graph DistMaps between extractions: the table is
-// two NumNodes-sized arrays, and allocating (and zeroing) them per query
-// would defeat the O(1) epoch Reset they were built around. Tables from a
-// different-sized graph are dropped on Get.
-var distPool sync.Pool
+// Release returns the result's distance table and working state to the
+// extraction pool. Call it once discovery is done with the result; Dist
+// must not be read after. Releasing is optional — an unreleased table is
+// simply garbage.
+func (r *Result) Release() {
+	if r.x != nil {
+		pool.Put(r.x)
+		r.x, r.Dist = nil, nil
+	}
+}
 
-func getDistMap(numNodes int) *graph.DistMap {
-	if v := distPool.Get(); v != nil {
-		if dm := v.(*graph.DistMap); dm.Size() == numNodes {
-			return dm
+// extraction is one extraction's working state over dense local ids: H_t's
+// nodes are numbered by their BFS visit position in dist, so the query
+// entities are 0..k−1 in tuple order. It is recycled whole through pool:
+// the distance table is two NumNodes-sized arrays, and allocating (and
+// zeroing) them per query would defeat the O(1) epoch Reset they were built
+// around; the other buffers ride along, so a warm extraction allocates
+// little beyond the edge lists it returns.
+type extraction struct {
+	dist *graph.DistMap
+	// edges is H_t in first-occurrence order; src and dst hold each edge's
+	// local endpoints and flags its IE and unimportance bits.
+	edges    []graph.Edge
+	src, dst []int32
+	flags    []uint8
+	// off and adj are H_t's adjacency in CSR form: adj[off[v]:off[v+1]]
+	// are the indices of the edges incident on local node v.
+	off, adj []int32
+	// avoid holds one row of n distances per query entity: hop distances
+	// within H_t from the other entities over paths that avoid it, −1 where
+	// unreached.
+	avoid []int32
+	queue []int32
+	// labelMark[2·label+out] == mark while the node being scanned has an
+	// IE edge of that label and orientation.
+	labelMark []uint32
+	mark      uint32
+	inComp    []bool
+}
+
+// Edge flags.
+const (
+	ieSrc       uint8 = 1 << iota // in IE(Src)
+	ieDst                         // in IE(Dst)
+	unimportant                   // in UE(Src) or UE(Dst)
+)
+
+// pool recycles extractions between queries. Extractions over a
+// different-sized graph are dropped on Get.
+var pool sync.Pool
+
+func getExtraction(numNodes int) *extraction {
+	if v := pool.Get(); v != nil {
+		if x := v.(*extraction); x.dist.Size() == numNodes {
+			return x
 		}
 	}
-	return graph.NewDistMap(numNodes)
+	return &extraction{dist: graph.NewDistMap(numNodes)}
 }
 
-// Release returns the result's distance table to the extraction pool. Call
-// it once discovery is done with the result; Dist must not be read after.
-// Releasing is optional — an unreleased table is simply garbage.
-func (r *Result) Release() {
-	if r.Dist != nil {
-		distPool.Put(r.Dist)
-		r.Dist = nil
+// resize returns s with length n, reallocating only when it is too short.
+// The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	return s[:n]
 }
 
 // ExtractCtx builds H_t and H'_t for the query tuple over data graph g with
@@ -82,106 +129,135 @@ func ExtractCtx(ctx context.Context, g *graph.Graph, tuple []graph.NodeID, d int
 			return nil, fmt.Errorf("neighborhood: query entity %d out of range", v)
 		}
 	}
-	seen := make(map[graph.NodeID]bool, len(tuple))
-	for _, v := range tuple {
-		if seen[v] {
+	for i, v := range tuple {
+		if slices.Contains(tuple[:i], v) {
 			return nil, fmt.Errorf("neighborhood: duplicate query entity %q", g.Name(v))
 		}
-		seen[v] = true
 	}
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	dist := getDistMap(g.NumNodes())
-	g.UndirectedDistancesInto(dist, tuple, d)
-	ht, err := extractEdges(ctx, g, dist, d)
-	if err != nil {
-		distPool.Put(dist)
-		return nil, err
+	x := getExtraction(g.NumNodes())
+	g.UndirectedDistancesInto(x.dist, tuple, d)
+	ht, err := x.extractEdges(ctx, g, d)
+	if err == nil {
+		var reduced *graph.SubGraph
+		if reduced, err = x.reduce(ctx, g, tuple, d); err == nil {
+			return &Result{Ht: ht, Reduced: reduced, Dist: x.dist, x: x}, nil
+		}
 	}
-	reduced, err := reduce(ctx, g, ht, tuple, dist, d)
-	if err != nil {
-		// Canceled and disconnected extractions are the common tail under
-		// load; the borrowed table goes back to the pool on those paths
-		// too, not just via Result.Release.
-		distPool.Put(dist)
-		return nil, err
-	}
-	return &Result{Ht: ht, Reduced: reduced, Dist: dist}, nil
+	// Canceled and disconnected extractions are the common tail under load;
+	// the borrowed state goes back to the pool on those paths too, not just
+	// via Result.Release.
+	pool.Put(x)
+	return nil, err
 }
 
 // extractEdges realizes Def. 1 from BFS distances: a node is in V(H_t) iff
 // dist ≤ d; an edge (u,v) is in E(H_t) iff min(dist(u), dist(v)) ≤ d−1,
 // since it then lies on an undirected path of length ≤ d from a query
 // entity (walk to the nearer endpoint, then cross the edge).
-func extractEdges(ctx context.Context, g *graph.Graph, dist *graph.DistMap, d int) (*graph.SubGraph, error) {
-	var edges []graph.Edge
-	for n, v := range dist.Reached() {
-		if n%cancelCheckInterval == 0 {
+//
+// Nodes are scanned in BFS order, each emitting its out-arcs and then its
+// in-arcs. An edge is emitted once, from the endpoint visited first: every
+// node visited before a scanned node is within d−1 too and has emitted its
+// edges already. The data graph holds no duplicate edges, so the list needs
+// no deduplication.
+func (x *extraction) extractEdges(ctx context.Context, g *graph.Graph, d int) (*graph.SubGraph, error) {
+	reached, depth := x.dist.Reached(), x.dist.Dists()
+	x.edges, x.src, x.dst = x.edges[:0], x.src[:0], x.dst[:0]
+	for i, v := range reached {
+		if i%cancelCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		dv, _ := dist.Get(v)
-		if dv > d-1 {
-			continue
+		if int(depth[i]) > d-1 {
+			break // BFS order: every later node is at distance d
 		}
 		// Every neighbor of a node at distance ≤ d−1 is itself at distance
-		// ≤ d, so it is always in the dist map; emit both directions and
-		// let NewSubGraph deduplicate edges seen from both endpoints.
+		// ≤ d, so it has a local id.
 		out := g.OutArcs(v)
-		for i, far := range out.Nodes {
-			edges = append(edges, graph.Edge{Src: v, Label: out.Labels[i], Dst: far})
+		for j, far := range out.Nodes {
+			if p, _ := x.dist.Index(far); p >= i {
+				x.emit(graph.Edge{Src: v, Label: out.Labels[j], Dst: far}, int32(i), int32(p))
+			}
 		}
 		in := g.InArcs(v)
-		for i, far := range in.Nodes {
-			edges = append(edges, graph.Edge{Src: far, Label: in.Labels[i], Dst: v})
+		for j, far := range in.Nodes {
+			// p == i is a self-loop, already emitted as an out-arc.
+			if p, _ := x.dist.Index(far); p > i {
+				x.emit(graph.Edge{Src: far, Label: in.Labels[j], Dst: v}, int32(p), int32(i))
+			}
 		}
 	}
-	return graph.NewSubGraph(edges), nil
+	return &graph.SubGraph{Edges: slices.Clone(x.edges)}, nil
 }
 
-// labelDir keys the (label, orientation) pair that defines UE membership:
-// out reports whether the edge leaves the perspective node.
-type labelDir struct {
-	label graph.LabelID
-	out   bool
+func (x *extraction) emit(e graph.Edge, src, dst int32) {
+	x.edges = append(x.edges, e)
+	x.src = append(x.src, src)
+	x.dst = append(x.dst, dst)
 }
 
-// avoidBFS returns hop distances within ht from the query entities other
-// than avoid, over paths that never enter the avoid node, up to maxDepth.
-// It runs over the small extracted subgraph, so a map proportional to the
-// reached set beats a flat array sized by the whole data graph (one such
-// table per entity would be alive simultaneously).
-func avoidBFS(ht *graph.SubGraph, adj map[graph.NodeID][]int, tuple []graph.NodeID, avoid graph.NodeID, maxDepth int) map[graph.NodeID]int {
-	dist := make(map[graph.NodeID]int)
-	var queue []graph.NodeID
-	for _, v := range tuple {
-		if v != avoid {
-			dist[v] = 0
-			queue = append(queue, v)
+// buildAdjacency fills off and adj for H_t's n local nodes; each node's
+// incident edges are listed in edge order, a self-loop once.
+func (x *extraction) buildAdjacency(n int) {
+	x.off = resize(x.off, n+1)
+	clear(x.off)
+	for i, s := range x.src {
+		x.off[s+1]++
+		if t := x.dst[i]; t != s {
+			x.off[t+1]++
 		}
 	}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		if dist[v] == maxDepth {
+	for v := 1; v <= n; v++ {
+		x.off[v] += x.off[v-1]
+	}
+	x.adj = resize(x.adj, int(x.off[n]))
+	next := resize(x.queue, n)
+	copy(next, x.off[:n])
+	for i, s := range x.src {
+		x.adj[next[s]] = int32(i)
+		next[s]++
+		if t := x.dst[i]; t != s {
+			x.adj[next[t]] = int32(i)
+			next[t]++
+		}
+	}
+	x.queue = next
+}
+
+// avoidBFS fills row with hop distances within H_t from the query entities
+// other than local node a, over paths that never enter a, up to maxDepth;
+// −1 marks the unreached.
+func (x *extraction) avoidBFS(row []int32, k int, a, maxDepth int32) {
+	for i := range row {
+		row[i] = -1
+	}
+	q := x.queue[:0]
+	for j := int32(0); j < int32(k); j++ {
+		if j != a {
+			row[j] = 0
+			q = append(q, j)
+		}
+	}
+	for head := 0; head < len(q); head++ {
+		v := q[head]
+		if row[v] == maxDepth {
 			continue
 		}
-		for _, ei := range adj[v] {
-			e := ht.Edges[ei]
-			for _, u := range [2]graph.NodeID{e.Src, e.Dst} {
-				if u == avoid {
-					continue
-				}
-				if _, ok := dist[u]; !ok {
-					dist[u] = dist[v] + 1
-					queue = append(queue, u)
+		for _, ei := range x.adj[x.off[v]:x.off[v+1]] {
+			for _, u := range [2]int32{x.src[ei], x.dst[ei]} {
+				if u != a && row[u] < 0 {
+					row[u] = row[v] + 1
+					q = append(q, u)
 				}
 			}
 		}
 	}
-	return dist
+	x.queue = q
 }
 
 // reduce removes unimportant edges from ht and returns the weakly connected
@@ -203,91 +279,152 @@ func avoidBFS(ht *graph.SubGraph, adj map[graph.NodeID][]int, tuple []graph.Node
 //
 // e ∈ UE(x) iff e ∉ IE(x) and some e' ∈ IE(x) shares e's label and
 // orientation at x. An edge is unimportant iff it is in UE(u) or UE(v).
-func reduce(ctx context.Context, g *graph.Graph, ht *graph.SubGraph, tuple []graph.NodeID, dist *graph.DistMap, d int) (*graph.SubGraph, error) {
-	isEntity := make(map[graph.NodeID]bool, len(tuple))
-	for _, v := range tuple {
-		isEntity[v] = true
+func (x *extraction) reduce(ctx context.Context, g *graph.Graph, tuple []graph.NodeID, d int) (*graph.SubGraph, error) {
+	n, k := len(x.dist.Reached()), len(tuple)
+	if err := x.markUnimportant(ctx, g, n, k, d); err != nil {
+		return nil, err
 	}
-	// distOther[vi][u]: shortest hop distance within ht from u to any query
-	// entity other than vi, over paths that avoid vi. One table per entity —
-	// they are all consulted during the edge passes below.
-	adj := ht.Adjacency()
-	distOther := make(map[graph.NodeID]map[graph.NodeID]int, len(tuple))
-	for _, vi := range tuple {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		distOther[vi] = avoidBFS(ht, adj, tuple, vi, d-1)
-	}
-	reaches := func(from, avoiding graph.NodeID) bool {
-		if isEntity[avoiding] {
-			dd, ok := distOther[avoiding][from]
-			return ok && 1+dd <= d
-		}
-		dv, ok := dist.Get(from)
-		return ok && dv <= d-1
-	}
-	// Pass 1: collect the IE label/orientation signature of every node.
-	ie := make(map[graph.NodeID]map[labelDir]bool)
-	addIE := func(v graph.NodeID, ld labelDir) {
-		m, ok := ie[v]
-		if !ok {
-			m = make(map[labelDir]bool, 4)
-			ie[v] = m
-		}
-		m[ld] = true
-	}
-	inIE := func(e graph.Edge) (fromSrc, fromDst bool) {
-		// From Src's perspective the path crosses to Dst and continues.
-		fromSrc = isEntity[e.Dst] || reaches(e.Dst, e.Src)
-		fromDst = isEntity[e.Src] || reaches(e.Src, e.Dst)
-		return
-	}
-	for i, e := range ht.Edges {
-		if i%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		fromSrc, fromDst := inIE(e)
-		if fromSrc {
-			addIE(e.Src, labelDir{e.Label, true})
-		}
-		if fromDst {
-			addIE(e.Dst, labelDir{e.Label, false})
-		}
-	}
-	// Pass 2: keep edges that are not unimportant from either endpoint.
-	kept := make([]graph.Edge, 0, len(ht.Edges))
-	for i, e := range ht.Edges {
-		if i%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		fromSrc, fromDst := inIE(e)
-		ueSrc := !fromSrc && ie[e.Src][labelDir{e.Label, true}]
-		ueDst := !fromDst && ie[e.Dst][labelDir{e.Label, false}]
-		if ueSrc || ueDst {
-			continue
-		}
-		kept = append(kept, e)
-	}
-	comp := graph.NewSubGraph(kept).ComponentContaining(tuple)
-	if comp == nil && len(tuple) > 1 {
-		// Defensive: the avoid-entity IE test is stricter than the plain
-		// BFS one; if it ever disconnects the entities (it should not, by
-		// Theorem 2 the inter-entity path edges are IE from both ends),
-		// fall back to keeping all of H_t rather than failing the query.
-		comp = ht.ComponentContaining(tuple)
+	comp := x.component(n, k, true)
+	if comp == nil && k > 1 {
+		// Theorem 2 keeps the entities connected when every pair of them is
+		// joined by a path of length ≤ d: such paths' edges are IE from both
+		// ends. An entity reachable from the others only by longer paths can
+		// lose its link (TestReduceFallbackLongPathEntity); keep all of H_t's
+		// component then rather than failing the query.
+		comp = x.component(n, k, false)
 	}
 	if comp == nil {
-		if len(tuple) == 1 {
+		if k == 1 {
 			// A single entity with no incident kept edge: the tuple is
 			// isolated within d, so no neighborhood exists.
 			return nil, fmt.Errorf("%w: %q has no neighborhood edges", ErrDisconnected, g.Name(tuple[0]))
 		}
 		return nil, ErrDisconnected
 	}
-	return comp, nil
+	return &graph.SubGraph{Edges: comp}, nil
+}
+
+// markUnimportant sets the IE bits of every H_t edge and then the
+// unimportant bit of those in UE of an endpoint.
+func (x *extraction) markUnimportant(ctx context.Context, g *graph.Graph, n, k, d int) error {
+	x.buildAdjacency(n)
+	// One avoid-entity distance row per entity — all are consulted during
+	// the edge pass below.
+	x.avoid = resize(x.avoid, k*n)
+	for a := 0; a < k; a++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		x.avoidBFS(x.avoid[a*n:(a+1)*n], k, int32(a), int32(d-1))
+	}
+	depth := x.dist.Dists()
+	reaches := func(from, avoiding int32) bool {
+		if int(avoiding) < k {
+			dd := x.avoid[int(avoiding)*n+int(from)]
+			return dd >= 0 && int(dd)+1 <= d
+		}
+		return int(depth[from]) <= d-1
+	}
+	// Pass 1: IE membership from both endpoints. From Src's perspective the
+	// path crosses to Dst and continues.
+	x.flags = resize(x.flags, len(x.edges))
+	for i, s := range x.src {
+		if i%cancelCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		t := x.dst[i]
+		var f uint8
+		if int(t) < k || reaches(t, s) {
+			f |= ieSrc
+		}
+		if int(s) < k || reaches(s, t) {
+			f |= ieDst
+		}
+		x.flags[i] = f
+	}
+	// Pass 2, per node: mark the label/orientation signature of its IE
+	// edges, then flag its non-IE edges that share one.
+	if len(x.labelMark) < 2*g.NumLabels() {
+		x.labelMark = make([]uint32, 2*g.NumLabels())
+		x.mark = 0
+	}
+	for v := int32(0); v < int32(n); v++ {
+		if v%cancelCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		x.mark++
+		if x.mark == 0 {
+			clear(x.labelMark)
+			x.mark = 1
+		}
+		inc := x.adj[x.off[v]:x.off[v+1]]
+		for _, ei := range inc {
+			l, f := 2*int(x.edges[ei].Label), x.flags[ei]
+			if x.src[ei] == v && f&ieSrc != 0 {
+				x.labelMark[l+1] = x.mark
+			}
+			if x.dst[ei] == v && f&ieDst != 0 {
+				x.labelMark[l] = x.mark
+			}
+		}
+		for _, ei := range inc {
+			l, f := 2*int(x.edges[ei].Label), x.flags[ei]
+			if (x.src[ei] == v && f&ieSrc == 0 && x.labelMark[l+1] == x.mark) ||
+				(x.dst[ei] == v && f&ieDst == 0 && x.labelMark[l] == x.mark) {
+				x.flags[ei] |= unimportant
+			}
+		}
+	}
+	return nil
+}
+
+// component returns, in H_t order, the edges of the weakly connected
+// component that contains all k query entities — over the edges not marked
+// unimportant when keptOnly is set, else over all of H_t. It returns nil
+// when the first entity has no such incident edge or some entity lies in
+// another component.
+func (x *extraction) component(n, k int, keptOnly bool) []graph.Edge {
+	skip := func(ei int32) bool { return keptOnly && x.flags[ei]&unimportant != 0 }
+	x.inComp = resize(x.inComp, n)
+	clear(x.inComp)
+	x.inComp[0] = true
+	stack := append(x.queue[:0], 0)
+	incident := false
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, ei := range x.adj[x.off[v]:x.off[v+1]] {
+			if skip(ei) {
+				continue
+			}
+			incident = true
+			for _, u := range [2]int32{x.src[ei], x.dst[ei]} {
+				if !x.inComp[u] {
+					x.inComp[u] = true
+					stack = append(stack, u)
+				}
+			}
+		}
+	}
+	x.queue = stack
+	if !incident || slices.Contains(x.inComp[:k], false) {
+		return nil
+	}
+	size := 0
+	for i, s := range x.src {
+		if x.inComp[s] && !skip(int32(i)) {
+			size++
+		}
+	}
+	comp := make([]graph.Edge, 0, size)
+	for i, s := range x.src {
+		if x.inComp[s] && !skip(int32(i)) {
+			comp = append(comp, x.edges[i])
+		}
+	}
+	return comp
 }

@@ -130,7 +130,7 @@ func TestReduceKeepsDistinctLabelEdges(t *testing.T) {
 func TestReducedIsConnectedAndContainsEntities(t *testing.T) {
 	g, res := extract(t, []string{"Jerry Yang", "Yahoo!"}, 2)
 	tuple := testkg.Tuple(g, "Jerry Yang", "Yahoo!")
-	if !res.Reduced.IsWeaklyConnected(tuple) {
+	if !testkg.WeaklyConnected(res.Reduced, tuple) {
 		t.Error("H'_t is not weakly connected or lost a query entity")
 	}
 	if len(res.Reduced.Edges) > len(res.Ht.Edges) {

@@ -109,3 +109,45 @@ func Names(g *graph.Graph, ids []graph.NodeID) []string {
 	}
 	return names
 }
+
+// Distances returns the hop distances within s from the seed nodes,
+// treating edges as undirected; seeds are at distance 0 even when no edge
+// touches them. It is a plain-map oracle for the flat traversals.
+func Distances(s *graph.SubGraph, seeds []graph.NodeID) map[graph.NodeID]int {
+	adj := s.Adjacency()
+	dist := make(map[graph.NodeID]int, len(adj))
+	var queue []graph.NodeID
+	for _, v := range seeds {
+		if _, ok := dist[v]; !ok {
+			dist[v] = 0
+			queue = append(queue, v)
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		for _, ei := range adj[v] {
+			for _, u := range [2]graph.NodeID{s.Edges[ei].Src, s.Edges[ei].Dst} {
+				if _, ok := dist[u]; !ok {
+					dist[u] = dist[v] + 1
+					queue = append(queue, u)
+				}
+			}
+		}
+	}
+	return dist
+}
+
+// WeaklyConnected reports whether s has edges, is weakly connected, and
+// has every node of required as an endpoint.
+func WeaklyConnected(s *graph.SubGraph, required []graph.NodeID) bool {
+	if len(s.Edges) == 0 || !s.ContainsAll(required) {
+		return false
+	}
+	dist := Distances(s, []graph.NodeID{s.Edges[0].Src})
+	for _, e := range s.Edges {
+		if _, ok := dist[e.Src]; !ok {
+			return false
+		}
+	}
+	return true
+}
