@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"gqbe/internal/core"
@@ -470,12 +471,60 @@ func (e *Engine) wrap(res *core.Result, withMQG bool) *Result {
 	if withMQG && res.MQG != nil {
 		out.MQG = e.mqgInfo(res.MQG)
 	}
-	for _, a := range res.Answers {
-		out.Answers = append(out.Answers, Answer{
-			Entities: e.eng.AnswerNames(a),
-			Score:    a.Score,
-			Key:      topk.TupleKey(a.Tuple),
-		})
+	out.Answers = e.answers(res.Answers)
+	return out
+}
+
+// answers renders ranked answers compactly: results often outlive the
+// query (caches, callers that keep every result), so all entity names share
+// one backing array and all keys one string. Each Entities slice is capped
+// at its own length, so appending to one answer's never overwrites the
+// next. On a mapped engine the graph's names alias the snapshot mapping,
+// which a Close or hot reload may unmap; they are copied into one string.
+func (e *Engine) answers(ranked []topk.Answer) []Answer {
+	if len(ranked) == 0 {
+		return nil
+	}
+	g := e.eng.Graph()
+	width := 0
+	for _, a := range ranked {
+		width += len(a.Tuple)
+	}
+	names := make([]string, 0, width)
+	for _, a := range ranked {
+		for _, v := range a.Tuple {
+			names = append(names, g.Name(v))
+		}
+	}
+	if g.Borrowed() {
+		size := 0
+		for _, name := range names {
+			size += len(name)
+		}
+		var b strings.Builder
+		b.Grow(size)
+		for _, name := range names {
+			b.WriteString(name)
+		}
+		all := b.String()
+		for i, start := 0, 0; i < len(names); i++ {
+			end := start + len(names[i])
+			names[i], start = all[start:end], end
+		}
+	}
+	out := make([]Answer, len(ranked))
+	var keys []byte
+	ends := make([]int, len(ranked))
+	for i, a := range ranked {
+		keys = topk.AppendTupleKey(keys, a.Tuple)
+		ends[i] = len(keys)
+	}
+	allKeys := string(keys)
+	start := 0
+	for i, a := range ranked {
+		k := len(a.Tuple)
+		out[i] = Answer{Entities: names[:k:k], Score: a.Score, Key: allKeys[start:ends[i]]}
+		names, start = names[k:], ends[i]
 	}
 	return out
 }

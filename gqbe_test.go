@@ -2,10 +2,13 @@ package gqbe
 
 import (
 	"fmt"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"gqbe/internal/testkg"
+	"gqbe/internal/topk"
 )
 
 func fig1Engine(t *testing.T) *Engine {
@@ -151,6 +154,62 @@ func TestScoresDescending(t *testing.T) {
 	for i := 1; i < len(res.Answers); i++ {
 		if res.Answers[i-1].Score < res.Answers[i].Score {
 			t.Fatal("answers not sorted by score")
+		}
+	}
+}
+
+// TestAnswersCompact pins what the shared backing arrays of a Result must
+// not change: every Key is the tuple's topk.TupleKey, appending to one
+// answer's Entities leaves the next answer intact, and a mapped engine's
+// answers stay readable after Close.
+func TestAnswersCompact(t *testing.T) {
+	e := fig1Engine(t)
+	query := []string{"Jerry Yang", "Yahoo!"}
+	opts := &Options{K: 10, KPrime: 10, MQGSize: 10}
+	res, err := e.Query(query, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Answers) < 2 {
+		t.Fatalf("%d answers, want at least 2", len(res.Answers))
+	}
+	for _, a := range res.Answers {
+		ids, err := e.resolve(a.Entities)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := topk.TupleKey(ids); a.Key != want {
+			t.Errorf("%v: Key %q, want %q", a.Entities, a.Key, want)
+		}
+	}
+	next := append([]string(nil), res.Answers[1].Entities...)
+	_ = append(res.Answers[0].Entities, "appended")
+	if !slices.Equal(res.Answers[1].Entities, next) {
+		t.Errorf("appending to answer 0 changed answer 1 to %v, was %v", res.Answers[1].Entities, next)
+	}
+
+	path := filepath.Join(t.TempDir(), "fig1.snap")
+	if err := e.WriteSnapshotFile(path); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenSnapshotMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mres, err := mapped.Query(query, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mapped.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(mres.Answers) != len(res.Answers) {
+		t.Fatalf("mapped engine returned %d answers, heap engine %d", len(mres.Answers), len(res.Answers))
+	}
+	for i, a := range mres.Answers {
+		want := res.Answers[i]
+		if !slices.Equal(a.Entities, want.Entities) || a.Key != want.Key || a.Score != want.Score {
+			t.Errorf("answer %d after Close: %v %q %v, want %v %q %v", i, a.Entities, a.Key, a.Score, want.Entities, want.Key, want.Score)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"strings"
+	"strconv"
 	"time"
 
 	"gqbe/internal/exec"
@@ -153,27 +153,24 @@ type Result struct {
 // inserts, content scoring) is comparable work to the join itself.
 const cancelCheckInterval = 4096
 
-// tupleKey renders an answer tuple as a decimal string. It is no longer the
-// hot-loop map key (see tuplemap.go) — only the deterministic tie-break
-// order of rank and the oracle tests still use it.
-func tupleKey(t []graph.NodeID) string {
-	var b strings.Builder
-	for i, v := range t {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", v)
-	}
-	return b.String()
-}
-
-// TupleKey renders an answer tuple as its deterministic tie-break key: the
-// node IDs in decimal, comma-joined. rank orders equal-score answers by this
-// key ascending, so a fleet router that re-merges per-shard rankings under
+// AppendTupleKey appends t's deterministic tie-break key to b: the node IDs
+// in decimal, comma-joined. rank orders equal-score answers by this key
+// ascending, so a fleet router that re-merges per-shard rankings under
 // (Score desc, TupleKey asc) reproduces the single-engine order exactly.
 // Keys are comparable only between engines built from the same input (node
 // IDs are assigned in load order).
-func TupleKey(t []graph.NodeID) string { return tupleKey(t) }
+func AppendTupleKey(b []byte, t []graph.NodeID) []byte {
+	for i, v := range t {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return b
+}
+
+// TupleKey renders t's tie-break key (see AppendTupleKey) as a string.
+func TupleKey(t []graph.NodeID) string { return string(AppendTupleKey(nil, t)) }
 
 // OwnerShard maps an answer tuple's pivot (first) entity to the shard that
 // owns the tuple in an answer-space-sharded fleet: SplitMix64 of the node ID
@@ -743,17 +740,26 @@ func (s *searcher) rank() []Answer {
 	// The deterministic tie-break key is rendered once per candidate, not
 	// once per comparison: large answer sets tie on both scores constantly,
 	// and key building inside the comparators dominated the search's
-	// allocation profile.
+	// allocation profile. All keys are rendered into one buffer, converted
+	// to one string and sliced per candidate.
 	type ranked struct {
 		c   *candidate
 		key string
+		end int // the key's end offset in the rendered buffer
 	}
 	all := make([]ranked, 0, s.best.n)
+	var buf []byte
 	s.tuples.each(func(c *candidate) {
 		if !c.excluded {
-			all = append(all, ranked{c: c, key: tupleKey(c.tuple)})
+			buf = AppendTupleKey(buf, c.tuple)
+			all = append(all, ranked{c: c, end: len(buf)})
 		}
 	})
+	keys := string(buf)
+	for i, start := 0, 0; i < len(all); i++ {
+		all[i].key = keys[start:all[i].end]
+		start = all[i].end
+	}
 	// Stage-1 order is by structure score; ties at the k′ boundary are
 	// broken by the full score so that, among structurally identical
 	// candidates, the ones the stage-2 re-rank would prefer survive the

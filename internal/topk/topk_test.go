@@ -141,7 +141,7 @@ func oracle(t *testing.T, store *storage.Store, lat *lattice.Lattice, exclude ma
 		}
 		s := lat.SScore(q)
 		for i := 0; i < rows.Len(); i++ {
-			key := tupleKey(ev.TupleOf(rows.Row(i)))
+			key := TupleKey(ev.TupleOf(rows.Row(i)))
 			if exclude[key] {
 				continue
 			}
@@ -158,7 +158,7 @@ func TestSearchMatchesExhaustiveOracle(t *testing.T) {
 	if lat.NumEdges() > 14 {
 		t.Skipf("lattice too large for oracle: %d edges", lat.NumEdges())
 	}
-	excl := map[string]bool{tupleKey(exclude[0]): true}
+	excl := map[string]bool{TupleKey(exclude[0]): true}
 	want := oracle(t, store, lat, excl)
 
 	res, err := SearchCtx(context.Background(), store, lat, exclude, Options{K: 1000, KPrime: 1000})
@@ -169,7 +169,7 @@ func TestSearchMatchesExhaustiveOracle(t *testing.T) {
 		t.Errorf("found %d tuples, oracle found %d", len(res.Answers), len(want))
 	}
 	for _, a := range res.Answers {
-		key := tupleKey(a.Tuple)
+		key := TupleKey(a.Tuple)
 		if w, ok := want[key]; !ok {
 			t.Errorf("tuple %s not in oracle", key)
 		} else if a.SScore != w {
