@@ -129,10 +129,12 @@ func ExtractCtx(ctx context.Context, g *graph.Graph, tuple []graph.NodeID, d int
 			return nil, fmt.Errorf("neighborhood: query entity %d out of range", v)
 		}
 	}
-	for i, v := range tuple {
-		if slices.Contains(tuple[:i], v) {
+	seen := make(map[graph.NodeID]bool, len(tuple))
+	for _, v := range tuple {
+		if seen[v] {
 			return nil, fmt.Errorf("neighborhood: duplicate query entity %q", g.Name(v))
 		}
+		seen[v] = true
 	}
 
 	if err := ctx.Err(); err != nil {
@@ -141,17 +143,19 @@ func ExtractCtx(ctx context.Context, g *graph.Graph, tuple []graph.NodeID, d int
 	x := getExtraction(g.NumNodes())
 	g.UndirectedDistancesInto(x.dist, tuple, d)
 	ht, err := x.extractEdges(ctx, g, d)
-	if err == nil {
-		var reduced *graph.SubGraph
-		if reduced, err = x.reduce(ctx, g, tuple, d); err == nil {
-			return &Result{Ht: ht, Reduced: reduced, Dist: x.dist, x: x}, nil
-		}
+	if err != nil {
+		pool.Put(x)
+		return nil, err
 	}
-	// Canceled and disconnected extractions are the common tail under load;
-	// the borrowed state goes back to the pool on those paths too, not just
-	// via Result.Release.
-	pool.Put(x)
-	return nil, err
+	reduced, err := x.reduce(ctx, g, tuple, d)
+	if err != nil {
+		// Canceled and disconnected extractions are the common tail under
+		// load; the borrowed state goes back to the pool on those paths
+		// too, not just via Result.Release.
+		pool.Put(x)
+		return nil, err
+	}
+	return &Result{Ht: ht, Reduced: reduced, Dist: x.dist, x: x}, nil
 }
 
 // extractEdges realizes Def. 1 from BFS distances: a node is in V(H_t) iff
