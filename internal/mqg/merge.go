@@ -34,13 +34,14 @@ func MergeCtx(ctx context.Context, mqgs []*MQG, r int) (*MQG, error) {
 		return nil, fmt.Errorf("mqg: target size r = %d, need ≥ 1", r)
 	}
 
-	// The union in first-seen order (for determinism): each virtual edge's
-	// presence count c and maximal weight wmax.
+	type agg struct {
+		count    int
+		wmax     float64
+		lastSeen int // the last source MQG that counted the edge
+	}
 	index := make(map[graph.Edge]int)
-	var edges []graph.Edge
-	var count []int
-	var wmax []float64
-	var lastSeen []int // the last source MQG that counted the edge
+	var edges []graph.Edge // first-seen order for determinism
+	var aggs []agg
 	for mi, m := range mqgs {
 		for i, e := range m.Sub.Edges {
 			ve := graph.Edge{Src: virtualize(m.Tuple, e.Src), Label: e.Label, Dst: virtualize(m.Tuple, e.Dst)}
@@ -49,25 +50,24 @@ func MergeCtx(ctx context.Context, mqgs []*MQG, r int) (*MQG, error) {
 				j = len(edges)
 				index[ve] = j
 				edges = append(edges, ve)
-				count = append(count, 0)
-				wmax = append(wmax, 0)
-				lastSeen = append(lastSeen, -1)
+				aggs = append(aggs, agg{lastSeen: -1})
 			}
+			a := &aggs[j]
 			// Within one source MQG an edge must contribute at most once to
 			// the presence count even if two of its edges collapse onto the
 			// same virtual edge.
-			if lastSeen[j] != mi {
-				count[j]++
-				lastSeen[j] = mi
+			if a.lastSeen != mi {
+				a.count++
+				a.lastSeen = mi
 			}
-			if w := m.Weights[i]; w > wmax[j] {
-				wmax[j] = w
+			if w := m.Weights[i]; w > a.wmax {
+				a.wmax = w
 			}
 		}
 	}
 	weights := make([]float64, len(edges))
-	for i := range edges {
-		weights[i] = float64(count[i]) * wmax[i]
+	for i, a := range aggs {
+		weights[i] = float64(a.count) * a.wmax
 	}
 
 	virtualTuple := make([]graph.NodeID, n)
@@ -77,10 +77,7 @@ func MergeCtx(ctx context.Context, mqgs []*MQG, r int) (*MQG, error) {
 
 	f := newFrame(edges, weights, virtualTuple)
 	lt := f.locals(virtualTuple)
-	idx := make([]int32, len(edges))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
+	idx := f.all()
 	if len(edges) > r {
 		var err error
 		if idx, err = f.discoverWeighted(ctx, lt, r); err != nil {

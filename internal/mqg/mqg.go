@@ -178,6 +178,15 @@ func (f *frame) locals(vs []graph.NodeID) []int32 {
 	return out
 }
 
+// all lists every edge of the frame.
+func (f *frame) all() []int32 {
+	idx := make([]int32, len(f.edges))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return idx
+}
+
 // subGraph copies the edges idx lists, in that order.
 func (f *frame) subGraph(idx []int32) *graph.SubGraph {
 	edges := make([]graph.Edge, len(idx))
@@ -244,11 +253,7 @@ func (f *frame) discoverWeighted(ctx context.Context, tuple []int32, r int) ([]i
 		// The decomposition argument guarantees connectivity whenever the
 		// reduced graph is connected; this is a defensive fallback that
 		// re-runs the greedy over the whole graph as one core.
-		all := make([]int32, len(f.edges))
-		for i := range all {
-			all[i] = int32(i)
-		}
-		union = f.greedyTrim(all, tuple, r)
+		union = f.greedyTrim(f.all(), tuple, r)
 		if !f.connected(union, tuple) {
 			return nil, errors.New("mqg: could not assemble a weakly connected MQG")
 		}
@@ -472,26 +477,23 @@ func (f *frame) pruneBack(ms, required []int32, m int) []int32 {
 		in[ei] = true
 	}
 	cur := ms
-	for len(cur) > m {
-		removed := false
+	for removed := true; removed && len(cur) > m; {
+		removed = false
 		for _, cand := range byWeight {
-			if in[cand] && f.dropEdge(cur, cand, required) {
-				cur = f.keepComponent(cur, cand, required[0], in)
-				removed = true
-				break
+			if in[cand] {
+				if cur, removed = f.withoutEdge(cur, cand, required, in); removed {
+					break
+				}
 			}
-		}
-		if !removed {
-			break
 		}
 	}
 	return cur
 }
 
-// dropEdge reports whether cur without edge cand still has an edge at
-// required[0] and keeps every required node in its component. It leaves
-// the frame's forest holding cur without cand.
-func (f *frame) dropEdge(cur []int32, cand int32, required []int32) bool {
+// withoutEdge reports whether cur without edge cand still has an edge at
+// required[0] and keeps every required node in its component. If so, it
+// filters cur in place to that component and updates in to match.
+func (f *frame) withoutEdge(cur []int32, cand int32, required []int32, in []bool) ([]int32, bool) {
 	f.uf.Reset(len(f.nodes))
 	incident := false
 	for _, ei := range cur {
@@ -502,13 +504,10 @@ func (f *frame) dropEdge(cur []int32, cand int32, required []int32) bool {
 		f.uf.Union(s, t)
 		incident = incident || s == required[0] || t == required[0]
 	}
-	return incident && f.uf.AllSameSet(required)
-}
-
-// keepComponent filters cur in place, after a successful dropEdge, to the
-// edges other than cand in v's component, keeping in in step.
-func (f *frame) keepComponent(cur []int32, cand, v int32, in []bool) []int32 {
-	root := f.uf.Find(v)
+	if !incident || !f.uf.AllSameSet(required) {
+		return cur, false
+	}
+	root := f.uf.Find(required[0])
 	next := cur[:0]
 	for _, ei := range cur {
 		in[ei] = ei != cand && f.uf.Find(f.src[ei]) == root
@@ -516,7 +515,7 @@ func (f *frame) keepComponent(cur []int32, cand, v int32, in []bool) []int32 {
 			next = append(next, ei)
 		}
 	}
-	return next
+	return next, true
 }
 
 // edgeDepths computes the Eq. 7 depth of every edge idx lists: the

@@ -158,27 +158,16 @@ func TestDiscoverErrors(t *testing.T) {
 	}
 }
 
-// framed numbers edges and required in a frame and returns the frame, all
-// of its edge indices and required's local ids.
-func framed(edges []graph.Edge, weights []float64, required []graph.NodeID) (*frame, []int32, []int32) {
-	f := newFrame(edges, weights, required)
-	all := make([]int32, len(edges))
-	for i := range all {
-		all[i] = int32(i)
-	}
-	return f, all, f.locals(required)
-}
-
 // trim runs the greedy search over all of edges.
 func trim(edges []graph.Edge, weights []float64, required []graph.NodeID, m int) *graph.SubGraph {
-	f, all, req := framed(edges, weights, required)
-	return f.subGraph(f.greedyTrim(all, req, m))
+	f := newFrame(edges, weights, required)
+	return f.subGraph(f.greedyTrim(f.all(), f.locals(required), m))
 }
 
 // decompose splits edges into parts around the entities of tuple.
 func decompose(edges []graph.Edge, weights []float64, tuple []graph.NodeID) []part {
-	f, _, lt := framed(edges, weights, tuple)
-	return f.decompose(lt)
+	f := newFrame(edges, weights, tuple)
+	return f.decompose(f.locals(tuple))
 }
 
 func TestGreedyTrimExactBudget(t *testing.T) {
