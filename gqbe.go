@@ -491,34 +491,23 @@ func (e *Engine) answers(ranked []topk.Answer) []Answer {
 		width += len(a.Tuple)
 	}
 	names := make([]string, 0, width)
-	for _, a := range ranked {
+	var keys []byte
+	ends := make([]int, len(ranked))
+	for i, a := range ranked {
 		for _, v := range a.Tuple {
 			names = append(names, g.Name(v))
 		}
+		keys = topk.AppendTupleKey(keys, a.Tuple)
+		ends[i] = len(keys)
 	}
 	if g.Borrowed() {
-		size := 0
-		for _, name := range names {
-			size += len(name)
-		}
-		var b strings.Builder
-		b.Grow(size)
-		for _, name := range names {
-			b.WriteString(name)
-		}
-		all := b.String()
+		all := strings.Join(names, "")
 		for i, start := 0, 0; i < len(names); i++ {
 			end := start + len(names[i])
 			names[i], start = all[start:end], end
 		}
 	}
 	out := make([]Answer, len(ranked))
-	var keys []byte
-	ends := make([]int, len(ranked))
-	for i, a := range ranked {
-		keys = topk.AppendTupleKey(keys, a.Tuple)
-		ends[i] = len(keys)
-	}
 	allKeys := string(keys)
 	start := 0
 	for i, a := range ranked {

@@ -93,7 +93,8 @@ func TestQuickUnionFindMatchesComponents(t *testing.T) {
 		for i, v := range nodes {
 			local[v] = int32(i)
 		}
-		u := NewUnionFind(len(nodes))
+		var u UnionFind
+		u.Reset(len(nodes))
 		for _, e := range s.Edges {
 			u.AddEdge(local[e.Src], local[e.Dst])
 		}

@@ -88,7 +88,8 @@ func TestSubGraphFormat(t *testing.T) {
 }
 
 func TestUnionFindBasics(t *testing.T) {
-	u := NewUnionFind(5)
+	var u UnionFind
+	u.Reset(5)
 	if u.Find(1) != u.Find(1) {
 		t.Error("id not in the same set as itself")
 	}
@@ -117,7 +118,8 @@ func TestUnionFindBasics(t *testing.T) {
 }
 
 func TestUnionFindEdgeCount(t *testing.T) {
-	u := NewUnionFind(10)
+	var u UnionFind
+	u.Reset(10)
 	u.AddEdge(1, 2)
 	u.AddEdge(2, 3)
 	if got := u.EdgeCount(3); got != 2 {

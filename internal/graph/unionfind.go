@@ -4,17 +4,11 @@ package graph
 // nodes numbered locally — that also counts the edges added to each set.
 // The greedy MQG search (Alg. 1) uses it to maintain weakly connected
 // components incrementally as edges are added in descending weight order.
+// The zero value is an empty forest; Reset sizes it.
 type UnionFind struct {
 	// parent[v] is v's parent, or −(size of v's set) when v is a root.
 	parent []int32
 	edges  []int32 // per root: the edges added to its set
-}
-
-// NewUnionFind returns a forest of n singletons.
-func NewUnionFind(n int) *UnionFind {
-	u := &UnionFind{}
-	u.Reset(n)
-	return u
 }
 
 // Reset makes every id in [0, n) a singleton with no edges, reusing the
